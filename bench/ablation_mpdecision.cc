@@ -34,7 +34,8 @@ Measure(bool mpdecision, bool touch_boost, uint64_t seed)
     DeviceConfig config;
     config.seed = seed;
     Device device(config);
-    device.PinConfiguration(2, 0);  // a Table-I style profiling point
+    // A Table-I style profiling point.
+    device.PinHetConfiguration(HetConfig{2, 0, 0});
     if (mpdecision) {
         device.EnableMpdecision();
     }
@@ -61,8 +62,10 @@ Measure(bool mpdecision, bool touch_boost, uint64_t seed)
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    // No options of its own, but a mistyped flag still exits 2.
+    bench::ParseBenchArgs(argc, argv);
     SetLogLevel(LogLevel::kWarn);
     bench::PrintHeader("E14 / §IV-A methodology",
                        "Why mpdecision and touch boost are disabled while profiling");

@@ -1,10 +1,13 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "common/json.h"
@@ -13,23 +16,96 @@
 
 namespace aeo::bench {
 
+namespace {
+
+constexpr const char* kUsage =
+    "flags (all optional):\n"
+    "  --fast            reduced grids/durations (the CI snapshot size)\n"
+    "  --jobs=N          batch workers, 1..256 (default: all hardware threads)\n"
+    "  --runs=N          profiling runs per config, 1..1000\n"
+    "  --seed=S          root seed, a positive 64-bit integer\n"
+    "  --out=PATH        CSV artifact path\n"
+    "  --json=PATH       snapshot path (benches that write one)\n"
+    "  --baseline=NAME   CPU governor of the comparison baseline\n"
+    "  --campaigns=N     robustness_chaos_campaign: campaigns to run, 1..100000\n"
+    "  --replay=PATH     robustness_chaos_campaign: replay a crash bundle\n"
+    "  --bundle=PATH     robustness_chaos_campaign: crash bundle output path\n";
+
+[[noreturn]] void
+UsageError(const char* program, const std::string& message)
+{
+    std::fprintf(stderr, "%s: %s\n%s", program, message.c_str(), kUsage);
+    std::exit(2);
+}
+
+/** Parses all of @p text as a decimal integer in [lo, hi]. */
+template <typename Int>
+bool
+ParseBounded(std::string_view text, Int lo, Int hi, Int* out)
+{
+    Int value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+        return false;
+    }
+    *out = value;
+    return true;
+}
+
+}  // namespace
+
 BenchArgs
 ParseBenchArgs(int argc, char** argv)
 {
     BenchArgs args;
+    const char* program = argc > 0 ? argv[0] : "bench";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0) {
+        const std::string_view arg = argv[i];
+        if (arg == "--fast") {
             args.fast = true;
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            args.batch.jobs = std::atoi(argv[i] + 7);
-        } else if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-            args.runs = std::atoi(argv[i] + 7);
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            args.out = argv[i] + 6;
-        } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-            args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-        } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-            args.baseline = argv[i] + 11;
+            continue;
+        }
+        const size_t eq = arg.find('=');
+        const std::string_view name = arg.substr(0, eq);
+        const std::string_view value =
+            eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
+        const auto bad_value = [&](const char* expected) {
+            UsageError(program, StrFormat("bad value in '%s': expected %s",
+                                          argv[i], expected));
+        };
+        const auto set_text = [&](std::string* field) {
+            if (value.empty()) bad_value("a non-empty value");
+            *field = std::string(value);
+        };
+        if (name == "--jobs") {
+            if (!ParseBounded(value, 1, 256, &args.batch.jobs)) {
+                bad_value("an integer in 1..256");
+            }
+        } else if (name == "--runs") {
+            if (!ParseBounded(value, 1, 1000, &args.runs)) {
+                bad_value("an integer in 1..1000");
+            }
+        } else if (name == "--seed") {
+            if (!ParseBounded<uint64_t>(value, 1, UINT64_MAX, &args.seed)) {
+                bad_value("a positive 64-bit integer");
+            }
+        } else if (name == "--campaigns") {
+            if (!ParseBounded(value, 1, 100000, &args.campaigns)) {
+                bad_value("an integer in 1..100000");
+            }
+        } else if (name == "--out") {
+            set_text(&args.out);
+        } else if (name == "--json") {
+            set_text(&args.json);
+        } else if (name == "--baseline") {
+            set_text(&args.baseline);
+        } else if (name == "--replay") {
+            set_text(&args.replay);
+        } else if (name == "--bundle") {
+            set_text(&args.bundle);
+        } else {
+            UsageError(program, StrFormat("unknown flag '%s'", argv[i]));
         }
     }
     return args;
@@ -43,17 +119,6 @@ MonotonicSeconds()
     using WallClock = std::chrono::steady_clock;
     return std::chrono::duration<double>(WallClock::now().time_since_epoch())
         .count();
-}
-
-std::string
-JsonPathArg(int argc, char** argv, const std::string& default_path)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            return argv[i] + 7;
-        }
-    }
-    return default_path;
 }
 
 void

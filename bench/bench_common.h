@@ -26,6 +26,8 @@ struct BenchArgs {
     int runs = 0;
     /** --out=PATH: overrides the bench's CSV artifact path. */
     std::string out;
+    /** --json=PATH: overrides the path of the bench's gated snapshot. */
+    std::string json;
     /** --seed=S: overrides the bench's root seed (0 = use the bench
      * default). Every derived seed (profiler, devices, campaigns) is an
      * offset of this root, so one flag re-seeds the whole experiment. */
@@ -35,6 +37,12 @@ struct BenchArgs {
      * E.g. --baseline=lulzactive pits the controller against the community
      * governor in the Table III/IV comparisons. */
     std::string baseline;
+    /** robustness_chaos_campaign only: --campaigns=N (0 = the bench
+     * default), --replay=PATH of a crash bundle to re-run, and --bundle=PATH
+     * where a shrunk failure is written (empty = the bench default). */
+    int campaigns = 0;
+    std::string replay;
+    std::string bundle;
 
     /** Profiling run count: the --runs override if given, else the bench
      * default for the current speed mode. */
@@ -52,6 +60,12 @@ struct BenchArgs {
         return out.empty() ? default_name : out;
     }
 
+    /** Snapshot path: the --json override if given, else @p default_name. */
+    std::string JsonPath(const std::string& default_name) const
+    {
+        return json.empty() ? default_name : json;
+    }
+
     /** Root seed: the --seed override if given, else @p fallback. */
     uint64_t SeedOr(uint64_t fallback) const
     {
@@ -59,8 +73,13 @@ struct BenchArgs {
     }
 };
 
-/** Parses --fast, --jobs=N, --runs=N, --seed=S and --out=PATH anywhere in
- * argv; ignores everything else. */
+/**
+ * Parses every bench flag (--fast, --jobs=N, --runs=N, --seed=S, --out=PATH,
+ * --json=PATH, --baseline=NAME and the chaos bench's --campaigns=N,
+ * --replay=PATH, --bundle=PATH). An unknown flag, a missing or malformed
+ * value, or a number out of range prints the usage to stderr and exits 2,
+ * so a typo never runs a full-size bench with defaults.
+ */
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
 /**
@@ -71,11 +90,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv);
  * wall-clock read can never silently leak into gated bytes.
  */
 double MonotonicSeconds();
-
-/** The --json=PATH override if present, else @p default_path. Benches that
- * emit a determinism-gated snapshot all accept this flag. */
-std::string JsonPathArg(int argc, char** argv,
-                        const std::string& default_path);
 
 /** Writes @p json_text to @p path and prints a "Wrote" line. */
 void WriteSnapshotFile(const std::string& path, const std::string& json_text);

@@ -86,8 +86,10 @@ RunControlled(const ProfileTable& table, double target, uint64_t seed,
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    // No options of its own, but a mistyped flag still exits 2.
+    bench::ParseBenchArgs(argc, argv);
     SetLogLevel(LogLevel::kWarn);
     bench::PrintHeader("E12 / §VII extension",
                        "Coordinated GPU-frequency control (Racer3D)");

@@ -70,8 +70,10 @@ DetectPhases(const std::string& app)
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    // No options of its own, but a mistyped flag still exits 2.
+    bench::ParseBenchArgs(argc, argv);
     SetLogLevel(LogLevel::kWarn);
     bench::PrintHeader("E15 / §V-B extension",
                        "Online phase detection from the controller's measurements");

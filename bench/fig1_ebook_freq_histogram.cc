@@ -14,9 +14,11 @@
 #include "stats/comparison.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace aeo;
+    // No options of its own, but a mistyped flag still exits 2.
+    bench::ParseBenchArgs(argc, argv);
     SetLogLevel(LogLevel::kWarn);
     bench::PrintHeader("E1 / Fig. 1",
                        "CPU frequency histogram: eBook reader, default governor");

@@ -20,8 +20,6 @@
  * (campaign mode) or the replay diverges (replay mode).
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -182,25 +180,13 @@ main(int argc, char** argv)
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
 
-    std::string replay_path;
-    int campaigns = fast ? 4 : 8;
-    std::string json_path = "BENCH_chaos_campaign.json";
-    std::string bundle_path = "chaos_crash_bundle.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--replay=", 9) == 0) {
-            replay_path = argv[i] + 9;
-        } else if (std::strncmp(argv[i], "--campaigns=", 12) == 0) {
-            campaigns = std::atoi(argv[i] + 12);
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        } else if (std::strncmp(argv[i], "--bundle=", 9) == 0) {
-            bundle_path = argv[i] + 9;
-        }
+    if (!args.replay.empty()) {
+        return RunReplay(args.replay, args);
     }
-    if (!replay_path.empty()) {
-        return RunReplay(replay_path, args);
-    }
-    AEO_ASSERT(campaigns > 0, "--campaigns must be positive");
+    const int campaigns = args.campaigns > 0 ? args.campaigns : (fast ? 4 : 8);
+    const std::string json_path = args.JsonPath("BENCH_chaos_campaign.json");
+    const std::string bundle_path =
+        args.bundle.empty() ? "chaos_crash_bundle.json" : args.bundle;
 
     bench::PrintHeader("R3 / chaos campaigns",
                        "Seeded compound-fault scenarios vs the invariant-"

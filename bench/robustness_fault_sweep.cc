@@ -15,7 +15,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -221,12 +220,7 @@ main(int argc, char** argv)
     const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
-    std::string json_path = "BENCH_fault_sweep.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        }
-    }
+    const std::string json_path = args.JsonPath("BENCH_fault_sweep.json");
     bench::PrintHeader("R1 / robustness",
                        "Fault-rate sweep: hardened controller vs injected "
                        "sysfs/PMU/meter failures");

@@ -18,7 +18,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -173,12 +172,7 @@ main(int argc, char** argv)
     const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
-    std::string json_path = "BENCH_thermal_soak.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        }
-    }
+    const std::string json_path = args.JsonPath("BENCH_thermal_soak.json");
     bench::PrintHeader("R2 / thermal soak",
                        "Sustained load under msm_thermal staging: clamp-aware "
                        "vs clamp-oblivious control");

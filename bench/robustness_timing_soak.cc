@@ -16,7 +16,6 @@
  * copy (results are bit-identical at any worker count).
  */
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -157,12 +156,7 @@ main(int argc, char** argv)
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
 
-    std::string json_path = "BENCH_timing_soak.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        }
-    }
+    const std::string json_path = args.JsonPath("BENCH_timing_soak.json");
 
     bench::PrintHeader("R4 / timing soak",
                        "Deadline-aware control under jitter x suspend "

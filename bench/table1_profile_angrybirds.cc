@@ -15,9 +15,11 @@
 #include "stats/comparison.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace aeo;
+    // No options of its own, but a mistyped flag still exits 2.
+    bench::ParseBenchArgs(argc, argv);
     SetLogLevel(LogLevel::kWarn);
     bench::PrintHeader("E2 / Table I", "AngryBirds offline profile");
 

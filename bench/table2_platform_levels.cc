@@ -12,9 +12,11 @@
 #include "soc/nexus6.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace aeo;
+    // No options of its own, but a mistyped flag still exits 2.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E3 / Table II", "CPU frequencies and memory bandwidths");
 
     const FrequencyTable freqs = MakeNexus6FrequencyTable();

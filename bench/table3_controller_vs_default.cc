@@ -90,8 +90,7 @@ main(int argc, char** argv)
         rows.Append(std::move(entry));
     }
     doc.Set("rows", std::move(rows));
-    const std::string json_path =
-        bench::JsonPathArg(argc, argv, "BENCH_table3.json");
+    const std::string json_path = args.JsonPath("BENCH_table3.json");
     bench::WriteSnapshotFile(json_path, doc.Dump(2) + "\n");
     bench::WritePerfMeta(json_path, wall_seconds, events_executed);
     return 0;

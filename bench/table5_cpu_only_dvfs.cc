@@ -108,8 +108,7 @@ main(int argc, char** argv)
     doc.Set("avg_coordinated_savings_pct",
             StrFormat("%.6g", coordinated_sum / 6.0));
     doc.Set("avg_cpu_only_savings_pct", StrFormat("%.6g", cpu_only_sum / 6.0));
-    const std::string json_path =
-        bench::JsonPathArg(argc, argv, "BENCH_table5.json");
+    const std::string json_path = args.JsonPath("BENCH_table5.json");
     bench::WriteSnapshotFile(json_path, doc.Dump(2) + "\n");
     bench::WritePerfMeta(json_path, wall_seconds, events_executed);
     return 0;

@@ -64,20 +64,20 @@ MeasureOneRun(const DeviceFactory& factory, const AppSpec& app,
         // default governor during profiling, as on the paper's phone.
         sysfs.Write(gpu_governor, "msm-adreno-tz");
     }
-    if (config.controls_little()) {
-        // big.LITTLE grid point: both frequency domains, the bus and the
-        // thread placement are pinned through the userspace governors.
-        AEO_ASSERT(config.controls_bandwidth(),
-                   "het profiling grids control the bandwidth");
+    if (config.controls_bandwidth()) {
+        // Every frequency domain, the bus and the thread placement are
+        // pinned through the userspace governors.
         device->PinHetConfiguration(
-            HetConfig{config.cpu_level, config.little_level, config.bw_level,
+            HetConfig{config.cpu_level,
+                      config.controls_little() ? config.little_level : 0,
+                      config.bw_level,
                       static_cast<ThreadPlacement>(
                           config.placement == kPlacementDefault
                               ? kPlacementBigOnly
                               : config.placement)});
-    } else if (config.controls_bandwidth()) {
-        device->PinConfiguration(config.cpu_level, config.bw_level);
     } else {
+        AEO_ASSERT(!config.controls_little(),
+                   "het profiling grids control the bandwidth");
         // CPU-only: pin the CPU, leave the bus with its default governor.
         sysfs.Write(sysfs.Open(kBwGovernorPath), "cpubw_hwmon");
         sysfs.Write(sysfs.Open(kCpuGovernorPath), "userspace");

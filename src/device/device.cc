@@ -286,38 +286,22 @@ Device::UseUserspaceGovernors()
 }
 
 void
-Device::PinConfiguration(int cpu_level, int bw_level)
-{
-    UseUserspaceGovernors();
-    const long long khz =
-        std::llround(cluster_.table().FrequencyAt(cpu_level).kilohertz());
-    const long long mbps =
-        std::llround(bus_.table().BandwidthAt(bw_level).value());
-    sysfs_.Write(cpu_setspeed_node_, StrFormat("%lld", khz));
-    sysfs_.Write(bw_setfreq_node_, StrFormat("%lld", mbps));
-}
-
-void
 Device::PinHetConfiguration(const HetConfig& config)
 {
-    if (!little_cpufreq_) {
-        AEO_ASSERT(config.little_level == 0 &&
-                       config.placement == ThreadPlacement::kBigOnly,
-                   "heterogeneous config %s on a homogeneous device",
-                   config.ToString().c_str());
-        PinConfiguration(config.big_level, config.bw_level);
-        return;
-    }
+    AEO_ASSERT(little_cpufreq_ != nullptr || config.little_level == 0,
+               "heterogeneous config %s on a homogeneous device",
+               config.ToString().c_str());
     UseUserspaceGovernors();
     const long long big_khz = std::llround(
         cluster_.table().FrequencyAt(config.big_level).kilohertz());
-    const long long little_khz = std::llround(little_cluster_->table()
-                                                  .FrequencyAt(config.little_level)
-                                                  .kilohertz());
+    sysfs_.Write(cpu_setspeed_node_, StrFormat("%lld", big_khz));
+    if (little_cpufreq_) {
+        const long long little_khz = std::llround(
+            little_cluster_->table().FrequencyAt(config.little_level).kilohertz());
+        sysfs_.Write(little_setspeed_node_, StrFormat("%lld", little_khz));
+    }
     const long long mbps =
         std::llround(bus_.table().BandwidthAt(config.bw_level).value());
-    sysfs_.Write(cpu_setspeed_node_, StrFormat("%lld", big_khz));
-    sysfs_.Write(little_setspeed_node_, StrFormat("%lld", little_khz));
     sysfs_.Write(bw_setfreq_node_, StrFormat("%lld", mbps));
     SetThreadPlacement(config.placement);
 }
@@ -493,53 +477,29 @@ Device::RecomputeRates()
     // tool costs ~4 % at a 1 s sampling period).
     const double overhead = perf_->cpu_overhead_fraction();
 
+    ClusterOperatingPoint big;
+    big.frequency = cluster_.frequency();
+    big.perf_scale = topology_.primary().perf_scale;
+    big.online_cores = cluster_.online_cores();
+    ClusterOperatingPoint little;  // zero cores: no LITTLE domain
     if (little_cluster_) {
-        ClusterOperatingPoint big;
-        big.frequency = cluster_.frequency();
-        big.perf_scale = topology_.primary().perf_scale;
-        big.online_cores = cluster_.online_cores();
-        ClusterOperatingPoint little;
         little.frequency = little_cluster_->frequency();
         little.perf_scale = topology_.little().perf_scale;
         little.online_cores = little_cluster_->online_cores();
-
-        const HetExecutionRates het = engine_.ComputeSharedHet(
-            fg_demand, bg_demand, big, little, placement_,
-            topology_.placement_model().span_penalty, bus_.bandwidth());
-        fg_gips_ = het.foreground.gips * (1.0 - overhead);
-        bg_gips_ = het.background.gips;
-        busy_cores_ = het.big_busy_cores + het.little_busy_cores;
-        big_busy_cores_ = het.big_busy_cores;
-        little_busy_cores_ = het.little_busy_cores;
-        mem_gbps_ = het.foreground.mem_gbps + het.background.mem_gbps;
-        max_core_load_ = het.big_max_core_load;
-        little_max_core_load_ = het.little_max_core_load;
-    } else {
-        const SharedExecutionRates rates = engine_.ComputeShared(
-            fg_demand, bg_demand, cluster_.frequency(), bus_.bandwidth(),
-            cluster_.online_cores());
-
-        fg_gips_ = rates.foreground.gips * (1.0 - overhead);
-        bg_gips_ = rates.background.gips;
-        busy_cores_ = rates.foreground.busy_cores + rates.background.busy_cores;
-        big_busy_cores_ = busy_cores_;
-        little_busy_cores_ = 0.0;
-        mem_gbps_ = rates.foreground.mem_gbps + rates.background.mem_gbps;
-
-        // The busiest core's utilization: a workload's active cores each run
-        // at gips/capacity (1.0 when compute-saturated). interactive keys
-        // off this.
-        const auto core_load = [](const ExecutionRates& rates_for) {
-            if (rates_for.capacity_gips <= 0.0) {
-                return 0.0;
-            }
-            const double load = rates_for.gips / rates_for.capacity_gips;
-            return load > 1.0 ? 1.0 : load;
-        };
-        max_core_load_ =
-            std::max(core_load(rates.foreground), core_load(rates.background));
-        little_max_core_load_ = 0.0;
     }
+
+    const HetExecutionRates rates = engine_.ComputeShared(
+        fg_demand, bg_demand, big, little, placement_,
+        topology_.placement_model().span_penalty, bus_.bandwidth());
+    fg_gips_ = rates.foreground.gips * (1.0 - overhead);
+    bg_gips_ = rates.background.gips;
+    busy_cores_ = rates.big_busy_cores + rates.little_busy_cores;
+    big_busy_cores_ = rates.big_busy_cores;
+    little_busy_cores_ = rates.little_busy_cores;
+    mem_gbps_ = rates.foreground.mem_gbps + rates.background.mem_gbps;
+    // The busiest core's utilization per cluster; interactive keys off it.
+    max_core_load_ = rates.big_max_core_load;
+    little_max_core_load_ = rates.little_max_core_load;
     power_cache_valid_ = false;
 
     // GPU demand follows the foreground's progress (render work per Gi).

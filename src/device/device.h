@@ -145,14 +145,11 @@ class Device {
     void EnableThermal(ThermalParams thermal_params = {},
                        MsmThermalParams msm_params = {});
 
-    /** Pins a fixed configuration via the userspace governors. */
-    void PinConfiguration(int cpu_level, int bw_level);
-
     /**
-     * Pins a heterogeneous configuration: big + LITTLE frequency levels,
-     * bandwidth level and thread placement, all via userspace governors.
-     * On a homogeneous device little_level must be 0 and the placement
-     * kBigOnly (the legacy semantics).
+     * Pins a configuration via the userspace governors: the primary (big)
+     * and LITTLE frequency levels, the bandwidth level and the thread
+     * placement. On a one-cluster device little_level must be 0 and the
+     * placement kBigOnly, e.g. HetConfig{cpu_level, 0, bw_level}.
      */
     void PinHetConfiguration(const HetConfig& config);
 

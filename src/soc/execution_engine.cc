@@ -15,52 +15,49 @@ ExecutionEngine::ExecutionEngine(ExecutionModelParams params) : params_(params)
                "background share %f out of [0, 1)", params_.background_share);
 }
 
-ExecutionRates
-ExecutionEngine::ComputeWith(const WorkloadDemand& demand, Gigahertz freq,
-                             double effective_gbps, double max_cores) const
-{
-    AEO_ASSERT(demand.ipc > 0.0, "ipc must be positive");
-    AEO_ASSERT(demand.parallelism > 0.0, "parallelism must be positive");
-    AEO_ASSERT(demand.mem_bytes_per_instr >= 0.0, "negative memory intensity");
+namespace {
 
-    ExecutionRates rates;
-    const double usable_cores = std::min(demand.parallelism, max_cores);
-    if (usable_cores <= 0.0 || effective_gbps <= 0.0) {
-        return rates;
+/** A core pool assembled from one or two clusters. */
+struct Pool {
+    double big_eq_ghz = 0.0;
+    double little_eq_ghz = 0.0;
+    double big_cores = 0.0;
+    double little_cores = 0.0;
+    double cores = 0.0;
+    double span_penalty = 0.0;
+
+    /**
+     * Compute-bound instruction rate, GIPS: Σ_c (eq_c · ipc) · cores_c,
+     * times (1 − span_penalty) when the pool spans both clusters. An empty
+     * cluster's term (+0.0) and the one-cluster span factor (×1.0) would be
+     * exact no-ops, so they are skipped rather than left on the latency
+     * path: one cluster computes (f · ipc) · cores, the homogeneous order.
+     */
+    double
+    Gips(double ipc) const
+    {
+        double gips = big_eq_ghz * ipc * big_cores;
+        if (little_cores > 0.0) {
+            gips += little_eq_ghz * ipc * little_cores;
+            if (big_cores > 0.0) {
+                gips *= 1.0 - span_penalty;
+            }
+        }
+        return gips;
     }
+};
 
-    // Per-instruction time in nanoseconds: compute + memory, serialized.
-    const double t_cpu_ns = 1.0 / (freq.value() * demand.ipc * usable_cores);
-    const double t_mem_ns = demand.mem_bytes_per_instr / effective_gbps;
-    const double capacity_gips = 1.0 / (t_cpu_ns + t_mem_ns);
-
-    rates.capacity_gips = capacity_gips;
-    rates.gips = std::min(demand.demand_gips, capacity_gips);
-    // Memory-stall time occupies the issuing core, so busy time is the full
-    // per-instruction latency (matches how Linux accounts CPU load).
-    rates.busy_cores = rates.gips / capacity_gips * usable_cores;
-    rates.mem_gbps = rates.gips * demand.mem_bytes_per_instr +
-                     rates.busy_cores * params_.prefetch_gbps_per_busy_core;
-    return rates;
-}
-
-ExecutionRates
-ExecutionEngine::Compute(const WorkloadDemand& demand, Gigahertz freq,
-                         MegabytesPerSecond bandwidth, int online_cores) const
+/** Fills @p parallelism threads into the two clusters' free cores,
+ * big-first or LITTLE-first. */
+Pool
+AssignPool(double parallelism, double big_eq_ghz, double big_cores,
+           double little_eq_ghz, double little_cores, bool big_first,
+           double span_penalty)
 {
-    const double effective_gbps =
-        bandwidth.value() / 1000.0 * params_.bandwidth_efficiency;
-    return ComputeWith(demand, freq, effective_gbps,
-                       static_cast<double>(online_cores));
-}
-
-ExecutionEngine::PoolAssignment
-ExecutionEngine::AssignPool(double parallelism, double big_eq_ghz,
-                            double big_cores, double little_eq_ghz,
-                            double little_cores, bool big_first,
-                            double span_penalty)
-{
-    PoolAssignment pool;
+    Pool pool;
+    pool.big_eq_ghz = big_eq_ghz;
+    pool.little_eq_ghz = little_eq_ghz;
+    pool.span_penalty = span_penalty;
     double remaining = parallelism;
     if (big_first) {
         pool.big_cores = std::min(remaining, big_cores);
@@ -72,49 +69,55 @@ ExecutionEngine::AssignPool(double parallelism, double big_eq_ghz,
         pool.big_cores = std::min(remaining, big_cores);
     }
     pool.cores = pool.big_cores + pool.little_cores;
-    pool.throughput_ghz =
-        pool.big_cores * big_eq_ghz + pool.little_cores * little_eq_ghz;
-    if (pool.big_cores > 0.0 && pool.little_cores > 0.0) {
-        pool.throughput_ghz *= 1.0 - span_penalty;
-    }
     return pool;
 }
 
+/** Rates of @p demand on @p pool with @p effective_gbps of bus bandwidth. */
 ExecutionRates
-ExecutionEngine::ComputeWithPool(const WorkloadDemand& demand,
-                                 const PoolAssignment& pool,
-                                 double effective_gbps) const
+RunOnPool(const WorkloadDemand& demand, const Pool& pool, double effective_gbps,
+          double prefetch_gbps_per_busy_core)
 {
     AEO_ASSERT(demand.ipc > 0.0, "ipc must be positive");
+    AEO_ASSERT(demand.parallelism > 0.0, "parallelism must be positive");
     AEO_ASSERT(demand.mem_bytes_per_instr >= 0.0, "negative memory intensity");
 
     ExecutionRates rates;
-    if (pool.cores <= 0.0 || pool.throughput_ghz <= 0.0 ||
-        effective_gbps <= 0.0) {
+    const double compute_gips = pool.Gips(demand.ipc);
+    if (pool.cores <= 0.0 || compute_gips <= 0.0 || effective_gbps <= 0.0) {
         return rates;
     }
-    // Same serial compute + memory latency as ComputeWith, with the pool's
-    // aggregate throughput standing in for freq × usable_cores.
-    const double t_cpu_ns = 1.0 / (pool.throughput_ghz * demand.ipc);
+    // Per-instruction time in nanoseconds: compute + memory, serialized.
+    const double t_cpu_ns = 1.0 / compute_gips;
     const double t_mem_ns = demand.mem_bytes_per_instr / effective_gbps;
     const double capacity_gips = 1.0 / (t_cpu_ns + t_mem_ns);
 
     rates.capacity_gips = capacity_gips;
     rates.gips = std::min(demand.demand_gips, capacity_gips);
+    // Memory-stall time occupies the issuing core, so busy time is the full
+    // per-instruction latency (matches how Linux accounts CPU load).
     rates.busy_cores = rates.gips / capacity_gips * pool.cores;
     rates.mem_gbps = rates.gips * demand.mem_bytes_per_instr +
-                     rates.busy_cores * params_.prefetch_gbps_per_busy_core;
+                     rates.busy_cores * prefetch_gbps_per_busy_core;
     return rates;
 }
 
+/** A workload's per-core utilization: gips / capacity, in [0, 1] because
+ * gips never exceeds capacity. Each of its cores runs at this load. */
+double
+Utilization(const ExecutionRates& rates)
+{
+    return rates.capacity_gips > 0.0 ? rates.gips / rates.capacity_gips : 0.0;
+}
+
+}  // namespace
+
 HetExecutionRates
-ExecutionEngine::ComputeSharedHet(const WorkloadDemand& foreground,
-                                  const WorkloadDemand& background,
-                                  const ClusterOperatingPoint& big,
-                                  const ClusterOperatingPoint& little,
-                                  ThreadPlacement placement,
-                                  double span_penalty,
-                                  MegabytesPerSecond bandwidth) const
+ExecutionEngine::ComputeShared(const WorkloadDemand& foreground,
+                               const WorkloadDemand& background,
+                               const ClusterOperatingPoint& big,
+                               const ClusterOperatingPoint& little,
+                               ThreadPlacement placement, double span_penalty,
+                               MegabytesPerSecond bandwidth) const
 {
     HetExecutionRates het;
     const double total_gbps =
@@ -124,31 +127,27 @@ ExecutionEngine::ComputeSharedHet(const WorkloadDemand& foreground,
     const double big_cores = static_cast<double>(big.online_cores);
     const double little_cores = static_cast<double>(little.online_cores);
 
-    // Background: LITTLE-first (Android's HMP bias for background resident
-    // tasks), over the background share of each cluster, capped at its
-    // share of the pool's compute throughput — the het analogue of
-    // ComputeShared's demand cap.
+    // Background: LITTLE-first over the background share of each cluster,
+    // its demand capped at that share of its pool's compute throughput.
     WorkloadDemand bg = background;
-    const PoolAssignment bg_pool = AssignPool(
+    const Pool bg_pool = AssignPool(
         bg.parallelism, big_eq, big_cores * params_.background_share,
         little_eq, little_cores * params_.background_share,
         /*big_first=*/false, span_penalty);
-    const PoolAssignment bg_cap_pool =
+    const Pool bg_cap_pool =
         AssignPool(bg.parallelism, big_eq, big_cores, little_eq, little_cores,
                    /*big_first=*/false, span_penalty);
-    bg.demand_gips =
-        std::min(bg.demand_gips, params_.background_share *
-                                     bg_cap_pool.throughput_ghz * bg.ipc);
-    het.background = ComputeWithPool(bg, bg_pool,
-                                     total_gbps * params_.background_share);
-    const double bg_share =
-        bg_pool.cores > 0.0 ? het.background.busy_cores / bg_pool.cores : 0.0;
-    const double bg_big_busy = bg_pool.big_cores * bg_share;
-    const double bg_little_busy = bg_pool.little_cores * bg_share;
+    bg.demand_gips = std::min(bg.demand_gips, params_.background_share *
+                                                  bg_cap_pool.Gips(bg.ipc));
+    het.background = RunOnPool(bg, bg_pool, total_gbps * params_.background_share,
+                               params_.prefetch_gbps_per_busy_core);
+    const double bg_load = Utilization(het.background);
+    const double bg_big_busy = bg_load * bg_pool.big_cores;
+    const double bg_little_busy = bg_load * bg_pool.little_cores;
 
     // Foreground: the placement's clusters, minus what the background holds,
     // fastest-core-first. A fully-occupied pool still yields a residual
-    // quarter core, like the homogeneous path.
+    // quarter core.
     double fg_big_cores =
         placement == ThreadPlacement::kLittleOnly
             ? 0.0
@@ -164,29 +163,21 @@ ExecutionEngine::ComputeSharedHet(const WorkloadDemand& foreground,
             fg_big_cores = 0.25;
         }
     }
-    const PoolAssignment fg_pool =
+    const Pool fg_pool =
         AssignPool(foreground.parallelism, big_eq, fg_big_cores, little_eq,
                    fg_little_cores, /*big_first=*/true, span_penalty);
     const double remaining_gbps =
         std::max(1e-9, total_gbps - het.background.mem_gbps);
-    het.foreground = ComputeWithPool(foreground, fg_pool, remaining_gbps);
-    const double fg_share =
-        fg_pool.cores > 0.0 ? het.foreground.busy_cores / fg_pool.cores : 0.0;
+    het.foreground = RunOnPool(foreground, fg_pool, remaining_gbps,
+                               params_.prefetch_gbps_per_busy_core);
+    const double fg_load = Utilization(het.foreground);
 
-    het.big_busy_cores = bg_big_busy + fg_pool.big_cores * fg_share;
-    het.little_busy_cores = bg_little_busy + fg_pool.little_cores * fg_share;
+    het.big_busy_cores = bg_big_busy + fg_load * fg_pool.big_cores;
+    het.little_busy_cores = bg_little_busy + fg_load * fg_pool.little_cores;
 
     // Busiest-core load per cluster: a workload's assigned cores run in
     // lockstep at its utilization, so each cluster sees the max over the
     // workloads using it.
-    const double fg_load = het.foreground.capacity_gips > 0.0
-                               ? std::min(1.0, het.foreground.gips /
-                                                   het.foreground.capacity_gips)
-                               : 0.0;
-    const double bg_load = het.background.capacity_gips > 0.0
-                               ? std::min(1.0, het.background.gips /
-                                                   het.background.capacity_gips)
-                               : 0.0;
     het.big_max_core_load =
         std::max(fg_pool.big_cores > 0.0 ? fg_load : 0.0,
                  bg_pool.big_cores > 0.0 ? bg_load : 0.0);
@@ -194,35 +185,6 @@ ExecutionEngine::ComputeSharedHet(const WorkloadDemand& foreground,
         std::max(fg_pool.little_cores > 0.0 ? fg_load : 0.0,
                  bg_pool.little_cores > 0.0 ? bg_load : 0.0);
     return het;
-}
-
-SharedExecutionRates
-ExecutionEngine::ComputeShared(const WorkloadDemand& foreground,
-                               const WorkloadDemand& background, Gigahertz freq,
-                               MegabytesPerSecond bandwidth, int online_cores) const
-{
-    SharedExecutionRates shared;
-    const double total_gbps =
-        bandwidth.value() / 1000.0 * params_.bandwidth_efficiency;
-    const double cores = static_cast<double>(online_cores);
-
-    // Background first, capped at its share of cores and bandwidth. The
-    // kernel keeps background residents alive regardless of foreground load.
-    WorkloadDemand bg = background;
-    bg.demand_gips = std::min(bg.demand_gips,
-                              params_.background_share *
-                                  (freq.value() * bg.ipc * bg.parallelism));
-    shared.background = ComputeWith(bg, freq, total_gbps * params_.background_share,
-                                    cores * params_.background_share);
-
-    // Foreground sees the leftover bandwidth and cores.
-    const double remaining_gbps =
-        std::max(1e-9, total_gbps - shared.background.mem_gbps);
-    const double remaining_cores =
-        std::max(0.25, cores - shared.background.busy_cores);
-    shared.foreground =
-        ComputeWith(foreground, freq, remaining_gbps, remaining_cores);
-    return shared;
 }
 
 }  // namespace aeo

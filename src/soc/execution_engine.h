@@ -14,10 +14,17 @@
  *  - a background load steals bandwidth and core time.
  *
  * Per-instruction latency is modelled as serial compute + memory time
- * (no overlap):
+ * (no overlap), over the core pool a workload is assigned:
  *
- *     t_instr = 1 / (f · ipc · parallelism) + bytes_per_instr / bw_effective
+ *     t_instr = 1 / Σ_c (f_c · perf_scale_c · ipc) · cores_c
+ *               + bytes_per_instr / bw_effective
  *     rate    = min(demand, 1 / t_instr)
+ *
+ * There is one execution path. A pool is drawn from up to two clusters
+ * (big and LITTLE); a single-cluster SoC such as the Nexus 6 is the same
+ * call with a LITTLE cluster of zero cores, and then every formula reduces
+ * exactly — `+ 0.0` and `× 1.0` are exact in IEEE arithmetic — to
+ * t_instr = 1 / (f · ipc · cores) + bytes_per_instr / bw_effective.
  */
 #ifndef AEO_SOC_EXECUTION_ENGINE_H_
 #define AEO_SOC_EXECUTION_ENGINE_H_
@@ -83,13 +90,9 @@ struct ExecutionModelParams {
     double prefetch_gbps_per_busy_core = 0.15;
 };
 
-/** Combined foreground + background rates at one configuration. */
-struct SharedExecutionRates {
-    ExecutionRates foreground;
-    ExecutionRates background;
-};
-
-/** One cluster's operating point as the execution model sees it. */
+/** One cluster's operating point as the execution model sees it. A cluster
+ * with no online cores (the absent LITTLE of a one-cluster SoC) contributes
+ * nothing. */
 struct ClusterOperatingPoint {
     Gigahertz frequency{1.0};
     /** Per-core throughput multiplier (ClusterSpec::perf_scale). */
@@ -98,8 +101,8 @@ struct ClusterOperatingPoint {
 };
 
 /**
- * Shared rates on a heterogeneous SoC, with the per-cluster split the
- * device needs to drive per-cluster load meters and the power model. The
+ * Foreground and background rates at one configuration, with the
+ * per-cluster split the device needs to drive per-cluster load meters and the power model. The
  * analytic model runs a workload's assigned cores in lockstep, so one
  * utilization per (workload, cluster) pair captures the busiest core.
  */
@@ -120,60 +123,33 @@ class ExecutionEngine {
   public:
     explicit ExecutionEngine(ExecutionModelParams params = {});
 
-    /** Rates for a single workload running alone. */
-    ExecutionRates Compute(const WorkloadDemand& demand, Gigahertz freq,
-                           MegabytesPerSecond bandwidth, int online_cores) const;
-
     /**
      * Rates when a foreground workload shares the SoC with a background
-     * load. The background is serviced first up to @c background_share of
-     * capacity (kernel timeslicing keeps background tasks alive); the
-     * foreground then sees the remaining bandwidth and cores.
+     * load. The background is serviced first, up to @c background_share of
+     * each cluster's cores and of the bandwidth (kernel timeslicing keeps
+     * background tasks alive); it models Android's HMP bias and fills
+     * LITTLE-first. The foreground's threads then fill the placement's
+     * admissible clusters fastest-core-first over what is left. Spanning
+     * both clusters costs @p span_penalty of pool throughput (migrations,
+     * coherence). A one-cluster SoC passes a @p little with zero cores and
+     * ThreadPlacement::kBigOnly.
+     *
+     * Arithmetic order is part of the contract: with one cluster every
+     * result is bit-identical to the closed-form homogeneous model
+     * (tests/soc/execution_engine_test.cc keeps it as the reference), and
+     * the snapshots in bench/snapshots/ pin those bits.
      */
-    SharedExecutionRates ComputeShared(const WorkloadDemand& foreground,
-                                       const WorkloadDemand& background,
-                                       Gigahertz freq,
-                                       MegabytesPerSecond bandwidth,
-                                       int online_cores) const;
-
-    /**
-     * Shared rates on a big.LITTLE SoC. The foreground's threads fill the
-     * placement's admissible clusters fastest-core-first; the background
-     * models Android's HMP bias and fills LITTLE-first regardless of the
-     * foreground's confinement. Spanning both clusters costs
-     * @p span_penalty of pool throughput (migrations, coherence).
-     */
-    HetExecutionRates ComputeSharedHet(const WorkloadDemand& foreground,
-                                       const WorkloadDemand& background,
-                                       const ClusterOperatingPoint& big,
-                                       const ClusterOperatingPoint& little,
-                                       ThreadPlacement placement,
-                                       double span_penalty,
-                                       MegabytesPerSecond bandwidth) const;
+    HetExecutionRates ComputeShared(const WorkloadDemand& foreground,
+                                    const WorkloadDemand& background,
+                                    const ClusterOperatingPoint& big,
+                                    const ClusterOperatingPoint& little,
+                                    ThreadPlacement placement,
+                                    double span_penalty,
+                                    MegabytesPerSecond bandwidth) const;
 
     const ExecutionModelParams& params() const { return params_; }
 
   private:
-    /** A core pool assembled from one or two clusters. */
-    struct PoolAssignment {
-        double throughput_ghz = 0.0;
-        double cores = 0.0;
-        double big_cores = 0.0;
-        double little_cores = 0.0;
-    };
-
-    static PoolAssignment AssignPool(double parallelism, double big_eq_ghz,
-                                     double big_cores, double little_eq_ghz,
-                                     double little_cores, bool big_first,
-                                     double span_penalty);
-
-    ExecutionRates ComputeWith(const WorkloadDemand& demand, Gigahertz freq,
-                               double effective_gbps, double max_cores) const;
-
-    ExecutionRates ComputeWithPool(const WorkloadDemand& demand,
-                                   const PoolAssignment& pool,
-                                   double effective_gbps) const;
-
     ExecutionModelParams params_;
 };
 

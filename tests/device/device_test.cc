@@ -23,7 +23,7 @@ TEST(DeviceTest, BuildsWithStockGovernorsRegistered)
 TEST(DeviceTest, PinConfigurationSetsLevels)
 {
     Device device;
-    device.PinConfiguration(9, 4);
+    device.PinHetConfiguration(HetConfig{9, 0, 4});
     EXPECT_EQ(device.cluster().level(), 9);
     EXPECT_EQ(device.bus().level(), 4);
 }
@@ -31,7 +31,7 @@ TEST(DeviceTest, PinConfigurationSetsLevels)
 TEST(DeviceTest, EnergyAccruesOverTime)
 {
     Device device;
-    device.PinConfiguration(0, 0);
+    device.PinHetConfiguration(HetConfig{0, 0, 0});
     device.RunFor(SimTime::FromSeconds(5));
     EXPECT_NEAR(device.energy_meter().elapsed().seconds(), 5.0, 1e-6);
     EXPECT_GT(device.energy_meter().energy().value(), 0.0);
@@ -44,7 +44,7 @@ TEST(DeviceTest, EnergyAccruesOverTime)
 TEST(DeviceTest, MonitorTracksExactEnergy)
 {
     Device device;
-    device.PinConfiguration(5, 3);
+    device.PinHetConfiguration(HetConfig{5, 0, 3});
     device.LaunchApp(MakeSpotifySpec());
     device.RunFor(SimTime::FromSeconds(10));
     const RunResult result = device.CollectResult("test");
@@ -54,7 +54,7 @@ TEST(DeviceTest, MonitorTracksExactEnergy)
 TEST(DeviceTest, AppMakesProgressAtPinnedConfig)
 {
     Device device;
-    device.PinConfiguration(17, 12);
+    device.PinHetConfiguration(HetConfig{17, 0, 12});
     device.LaunchApp(MakeVidConSpec());
     device.RunFor(SimTime::FromSeconds(10));
     const RunResult result = device.CollectResult("test");
@@ -66,7 +66,7 @@ TEST(DeviceTest, AppMakesProgressAtPinnedConfig)
 TEST(DeviceTest, BatchAppFinishesAndStopsTheRun)
 {
     Device device;
-    device.PinConfiguration(17, 12);
+    device.PinHetConfiguration(HetConfig{17, 0, 12});
     AppSpec tiny;
     tiny.name = "tiny";
     AppPhase phase;
@@ -89,14 +89,14 @@ TEST(DeviceTest, HigherConfigDrawsMorePower)
     RunResult high;
     {
         Device device;
-        device.PinConfiguration(0, 0);
+        device.PinHetConfiguration(HetConfig{0, 0, 0});
         device.LaunchApp(MakeAngryBirdsSpec());
         device.RunFor(SimTime::FromSeconds(10));
         low = device.CollectResult("low");
     }
     {
         Device device;
-        device.PinConfiguration(17, 12);
+        device.PinHetConfiguration(HetConfig{17, 0, 12});
         device.LaunchApp(MakeAngryBirdsSpec());
         device.RunFor(SimTime::FromSeconds(10));
         high = device.CollectResult("high");
@@ -180,13 +180,13 @@ TEST(DeviceTest, ControllerOverheadPowerIsCharged)
     RunResult with;
     {
         Device device;
-        device.PinConfiguration(0, 0);
+        device.PinHetConfiguration(HetConfig{0, 0, 0});
         device.RunFor(SimTime::FromSeconds(5));
         without = device.CollectResult("test");
     }
     {
         Device device;
-        device.PinConfiguration(0, 0);
+        device.PinHetConfiguration(HetConfig{0, 0, 0});
         device.SetControllerOverheadPower(100.0);
         device.RunFor(SimTime::FromSeconds(5));
         with = device.CollectResult("test");
@@ -201,14 +201,14 @@ TEST(DeviceTest, BackgroundLoadAffectsPowerAndLoadavg)
     {
         Device device;
         device.SetBackground(MakeBackgroundEnv(BackgroundKind::kNoLoad));
-        device.PinConfiguration(0, 0);
+        device.PinHetConfiguration(HetConfig{0, 0, 0});
         device.RunFor(SimTime::FromSeconds(30));
         nl = device.CollectResult("test");
     }
     {
         Device device;
         device.SetBackground(MakeBackgroundEnv(BackgroundKind::kHeavy));
-        device.PinConfiguration(0, 0);
+        device.PinHetConfiguration(HetConfig{0, 0, 0});
         device.RunFor(SimTime::FromSeconds(30));
         hl = device.CollectResult("test");
     }
@@ -221,7 +221,7 @@ TEST(DeviceTest, PerfToolOverheadSlowsForeground)
 {
     const auto measure = [](bool perf_on) {
         Device device;
-        device.PinConfiguration(4, 4);
+        device.PinHetConfiguration(HetConfig{4, 0, 4});
         device.LaunchApp(MakeVidConSpec());
         if (perf_on) {
             PerfToolConfig config;  // 1 s period → 4 % overhead

@@ -38,7 +38,7 @@ GpuHeavySpec()
 TEST(GpuIntegrationTest, SlowGpuCoBottlenecksTheApp)
 {
     Device device;
-    device.PinConfiguration(9, 4);  // plenty of CPU
+    device.PinHetConfiguration(HetConfig{9, 0, 4});  // plenty of CPU
     device.LaunchApp(GpuHeavySpec());
     // GPU pinned at the lowest clock (no governor started): capacity 200
     // units/s against ~390 of demand → the app runs at roughly half rate.
@@ -46,7 +46,7 @@ TEST(GpuIntegrationTest, SlowGpuCoBottlenecksTheApp)
     const double slow_gips = device.CollectResult("slow").avg_gips;
 
     Device fast;
-    fast.PinConfiguration(9, 4);
+    fast.PinHetConfiguration(HetConfig{9, 0, 4});
     fast.sysfs().Write(std::string(kGpuSysfsRoot) + "/governor", "performance");
     fast.LaunchApp(GpuHeavySpec());
     fast.RunFor(SimTime::FromSeconds(10));

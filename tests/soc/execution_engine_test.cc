@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
 
+#include "common/random.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -19,12 +22,46 @@ SelfPaced(double ipc, double par, double bpi)
     return demand;
 }
 
+ClusterOperatingPoint
+Op(double ghz, double perf_scale, int cores)
+{
+    ClusterOperatingPoint op;
+    op.frequency = Gigahertz(ghz);
+    op.perf_scale = perf_scale;
+    op.online_cores = cores;
+    return op;
+}
+
+/** A one-cluster SoC (the Nexus 6 shape): the LITTLE cluster has no cores. */
+HetExecutionRates
+OneCluster(const ExecutionEngine& engine, const WorkloadDemand& fg,
+           const WorkloadDemand& bg, Gigahertz freq,
+           MegabytesPerSecond bandwidth, int cores)
+{
+    return engine.ComputeShared(fg, bg, Op(freq.value(), 1.0, cores),
+                                Op(1.0, 1.0, 0), ThreadPlacement::kBigOnly,
+                                0.08, bandwidth);
+}
+
+/** A workload running alone on one cluster. An idle background (demand 0)
+ * takes no cores or bandwidth, so this is exact, not an approximation. */
+ExecutionRates
+Alone(const ExecutionEngine& engine, const WorkloadDemand& demand,
+      Gigahertz freq, MegabytesPerSecond bandwidth, int cores)
+{
+    WorkloadDemand idle;
+    idle.demand_gips = 0.0;
+    return OneCluster(engine, demand, idle, freq, bandwidth, cores).foreground;
+}
+
 TEST(ExecutionEngineTest, ComputeBoundScalesWithFrequency)
 {
     const ExecutionEngine engine;
     const WorkloadDemand demand = SelfPaced(1.0, 2.0, 0.0);
-    const auto slow = engine.Compute(demand, Gigahertz(0.5), MegabytesPerSecond(762), 4);
-    const auto fast = engine.Compute(demand, Gigahertz(2.0), MegabytesPerSecond(762), 4);
+    const auto slow =
+        Alone(engine, demand, Gigahertz(0.5), MegabytesPerSecond(762), 4);
+    const auto fast =
+        Alone(engine, demand, Gigahertz(2.0), MegabytesPerSecond(762), 4);
     EXPECT_NEAR(fast.gips / slow.gips, 4.0, 1e-9);
 }
 
@@ -33,13 +70,13 @@ TEST(ExecutionEngineTest, MemoryBoundSaturatesWithBandwidth)
     const ExecutionEngine engine;
     const WorkloadDemand demand = SelfPaced(2.0, 4.0, 8.0);  // heavy traffic
     const auto narrow =
-        engine.Compute(demand, Gigahertz(2.0), MegabytesPerSecond(762), 4);
+        Alone(engine, demand, Gigahertz(2.0), MegabytesPerSecond(762), 4);
     const auto wide =
-        engine.Compute(demand, Gigahertz(2.0), MegabytesPerSecond(16250), 4);
+        Alone(engine, demand, Gigahertz(2.0), MegabytesPerSecond(16250), 4);
     // Bandwidth-dominated: doubling frequency barely helps, bandwidth does.
     EXPECT_GT(wide.gips / narrow.gips, 5.0);
     const auto faster_clock =
-        engine.Compute(demand, Gigahertz(2.6496), MegabytesPerSecond(762), 4);
+        Alone(engine, demand, Gigahertz(2.6496), MegabytesPerSecond(762), 4);
     EXPECT_LT(faster_clock.gips / narrow.gips, 1.1);
 }
 
@@ -48,7 +85,8 @@ TEST(ExecutionEngineTest, DemandCapLimitsRateAndLoad)
     const ExecutionEngine engine;
     WorkloadDemand demand = SelfPaced(1.0, 2.0, 0.0);
     demand.demand_gips = 0.5;
-    const auto rates = engine.Compute(demand, Gigahertz(2.0), MegabytesPerSecond(762), 4);
+    const auto rates =
+        Alone(engine, demand, Gigahertz(2.0), MegabytesPerSecond(762), 4);
     EXPECT_DOUBLE_EQ(rates.gips, 0.5);
     EXPECT_GT(rates.capacity_gips, 3.9);
     // Busy time shrinks proportionally when demand-capped.
@@ -60,7 +98,8 @@ TEST(ExecutionEngineTest, SaturatedWorkloadBusiesItsCores)
 {
     const ExecutionEngine engine;
     const WorkloadDemand demand = SelfPaced(0.172, 2.5, 0.06);  // AngryBirds-like
-    const auto rates = engine.Compute(demand, Gigahertz(0.3), MegabytesPerSecond(762), 4);
+    const auto rates =
+        Alone(engine, demand, Gigahertz(0.3), MegabytesPerSecond(762), 4);
     EXPECT_NEAR(rates.busy_cores, 2.5, 1e-9);
     EXPECT_DOUBLE_EQ(rates.gips, rates.capacity_gips);
 }
@@ -69,7 +108,8 @@ TEST(ExecutionEngineTest, TrafficFollowsRateAndPrefetch)
 {
     const ExecutionEngine engine;
     const WorkloadDemand demand = SelfPaced(1.0, 1.0, 0.5);
-    const auto rates = engine.Compute(demand, Gigahertz(1.0), MegabytesPerSecond(8056), 4);
+    const auto rates =
+        Alone(engine, demand, Gigahertz(1.0), MegabytesPerSecond(8056), 4);
     // Demand traffic (gips × bytes/instr) plus the prefetcher streams that
     // scale with busy cores — the traffic cpubw_hwmon actually sees.
     const double prefetch = engine.params().prefetch_gbps_per_busy_core;
@@ -80,7 +120,8 @@ TEST(ExecutionEngineTest, ParallelismIsCappedByCores)
 {
     const ExecutionEngine engine;
     const WorkloadDemand demand = SelfPaced(1.0, 8.0, 0.0);
-    const auto rates = engine.Compute(demand, Gigahertz(1.0), MegabytesPerSecond(762), 4);
+    const auto rates =
+        Alone(engine, demand, Gigahertz(1.0), MegabytesPerSecond(762), 4);
     EXPECT_NEAR(rates.capacity_gips, 4.0, 1e-9);
     EXPECT_NEAR(rates.busy_cores, 4.0, 1e-9);
 }
@@ -91,9 +132,9 @@ TEST(ExecutionEngineTest, BackgroundStealsBandwidth)
     const WorkloadDemand fg = SelfPaced(2.0, 4.0, 4.0);  // memory hungry
     WorkloadDemand bg = SelfPaced(0.6, 1.0, 2.0);
     bg.demand_gips = 0.05;
-    const auto alone = engine.Compute(fg, Gigahertz(1.0), MegabytesPerSecond(762), 4);
+    const auto alone = Alone(engine, fg, Gigahertz(1.0), MegabytesPerSecond(762), 4);
     const auto shared =
-        engine.ComputeShared(fg, bg, Gigahertz(1.0), MegabytesPerSecond(762), 4);
+        OneCluster(engine, fg, bg, Gigahertz(1.0), MegabytesPerSecond(762), 4);
     EXPECT_LT(shared.foreground.gips, alone.gips);
     EXPECT_GT(shared.background.gips, 0.0);
 }
@@ -122,7 +163,7 @@ TEST_P(MonotonicityTest, GipsMonotoneOverGrid)
     for (int bw = 0; bw < bws.size(); ++bw) {
         double prev = 0.0;
         for (int f = 0; f < freqs.size(); ++f) {
-            const auto rates = engine.Compute(demand, freqs.FrequencyAt(f),
+            const auto rates = Alone(engine, demand, freqs.FrequencyAt(f),
                                               bws.BandwidthAt(bw), 4);
             EXPECT_GE(rates.gips, prev - 1e-12)
                 << "f level " << f << " bw level " << bw;
@@ -132,7 +173,7 @@ TEST_P(MonotonicityTest, GipsMonotoneOverGrid)
     for (int f = 0; f < freqs.size(); ++f) {
         double prev = 0.0;
         for (int bw = 0; bw < bws.size(); ++bw) {
-            const auto rates = engine.Compute(demand, freqs.FrequencyAt(f),
+            const auto rates = Alone(engine, demand, freqs.FrequencyAt(f),
                                               bws.BandwidthAt(bw), 4);
             EXPECT_GE(rates.gips, prev - 1e-12)
                 << "f level " << f << " bw level " << bw;
@@ -150,35 +191,137 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1.00, 4.0, 2.00),   // memory-heavy
                       std::make_tuple(1.50, 1.0, 0.00))); // pure compute
 
-ClusterOperatingPoint
-Op(double ghz, double perf_scale, int cores)
+/** Rates of the closed-form homogeneous model on one cluster. */
+struct HomogeneousRates {
+    ExecutionRates foreground;
+    ExecutionRates background;
+};
+
+/**
+ * The reference: the closed-form single-cluster model, written out in the
+ * arithmetic order the one-cluster call must reproduce bit for bit.
+ *
+ *     t_instr = 1 / (f · ipc · usable_cores) + bytes_per_instr / gbps
+ *
+ * The background is capped at its share of (f · ipc · parallelism) and
+ * runs on that share of the cores and bandwidth; the foreground gets the
+ * rest, with at least a quarter core.
+ */
+HomogeneousRates
+HomogeneousReference(const ExecutionModelParams& params,
+                     const WorkloadDemand& fg, const WorkloadDemand& bg,
+                     double freq_ghz, double bandwidth_mbps, int cores)
 {
-    ClusterOperatingPoint op;
-    op.frequency = Gigahertz(ghz);
-    op.perf_scale = perf_scale;
-    op.online_cores = cores;
-    return op;
+    const auto run_alone = [&](const WorkloadDemand& demand, double gbps,
+                               double max_cores) {
+        ExecutionRates rates;
+        const double usable = std::min(demand.parallelism, max_cores);
+        if (usable <= 0.0 || gbps <= 0.0) {
+            return rates;
+        }
+        const double t_cpu_ns = 1.0 / (freq_ghz * demand.ipc * usable);
+        const double t_mem_ns = demand.mem_bytes_per_instr / gbps;
+        rates.capacity_gips = 1.0 / (t_cpu_ns + t_mem_ns);
+        rates.gips = std::min(demand.demand_gips, rates.capacity_gips);
+        rates.busy_cores = rates.gips / rates.capacity_gips * usable;
+        rates.mem_gbps = rates.gips * demand.mem_bytes_per_instr +
+                         rates.busy_cores * params.prefetch_gbps_per_busy_core;
+        return rates;
+    };
+    HomogeneousRates out;
+    const double total_gbps =
+        bandwidth_mbps / 1000.0 * params.bandwidth_efficiency;
+    const double num_cores = static_cast<double>(cores);
+    WorkloadDemand capped = bg;
+    capped.demand_gips =
+        std::min(bg.demand_gips,
+                 params.background_share * (freq_ghz * bg.ipc * bg.parallelism));
+    out.background = run_alone(capped, total_gbps * params.background_share,
+                               num_cores * params.background_share);
+    out.foreground = run_alone(
+        fg, std::max(1e-9, total_gbps - out.background.mem_gbps),
+        std::max(0.25, num_cores - out.background.busy_cores));
+    return out;
 }
 
-TEST(HetExecutionTest, BigOnlyWithIdleLittleMatchesHomogeneousShared)
+double
+CoreLoad(const ExecutionRates& rates)
+{
+    return rates.capacity_gips <= 0.0
+               ? 0.0
+               : std::min(1.0, rates.gips / rates.capacity_gips);
+}
+
+void
+ExpectSameRates(const ExecutionRates& actual, const ExecutionRates& expected)
+{
+    EXPECT_EQ(actual.gips, expected.gips);
+    EXPECT_EQ(actual.busy_cores, expected.busy_cores);
+    EXPECT_EQ(actual.mem_gbps, expected.mem_gbps);
+    EXPECT_EQ(actual.capacity_gips, expected.capacity_gips);
+}
+
+/**
+ * The one-cluster reduction, bit for bit: on random operating points and
+ * workloads every field of the single execution path equals the closed-form
+ * homogeneous model. A reordered sum or product fails here rather than as a
+ * bench snapshot diff. Backgrounds keep parallelism <= 1 core, as every
+ * background load does (apps/background_load.cc), so the background cap's
+ * min(parallelism, cores) is the parallelism itself.
+ */
+TEST(HetExecutionTest, OneClusterIsBitIdenticalToHomogeneousModel)
 {
     const ExecutionEngine engine;
-    const WorkloadDemand fg = SelfPaced(0.8, 3.0, 0.45);
-    WorkloadDemand bg = SelfPaced(0.5, 1.0, 0.2);
-    bg.demand_gips = 0.3;
+    const FrequencyTable freqs = MakeNexus6FrequencyTable();
+    const BandwidthTable bws = MakeNexus6BandwidthTable();
+    const double inf = std::numeric_limits<double>::infinity();
+    Rng rng(0x0C1D5EEDull);
+    for (int trial = 0; trial < 20000; ++trial) {
+        const double freq =
+            rng.Bernoulli(0.5)
+                ? freqs.FrequencyAt(static_cast<int>(rng.UniformInt(
+                                        0, freqs.size() - 1)))
+                      .value()
+                : rng.Uniform(0.1, 3.0);
+        const double mbps =
+            rng.Bernoulli(0.5)
+                ? bws.BandwidthAt(static_cast<int>(
+                                      rng.UniformInt(0, bws.size() - 1)))
+                      .value()
+                : rng.Uniform(100.0, 20000.0);
+        const int cores = static_cast<int>(rng.UniformInt(1, 4));
 
-    const auto shared = engine.ComputeShared(fg, bg, Gigahertz(1.5),
-                                             MegabytesPerSecond(4684), 4);
-    const auto het = engine.ComputeSharedHet(
-        fg, bg, Op(1.5, 1.0, 4), Op(0.4, 0.5, 0), ThreadPlacement::kBigOnly,
-        0.08, MegabytesPerSecond(4684));
+        const double fg_bpi = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.0, 6.0);
+        WorkloadDemand fg =
+            SelfPaced(rng.Uniform(0.05, 2.5), rng.Uniform(0.25, 6.0), fg_bpi);
+        fg.demand_gips = rng.Bernoulli(0.4) ? inf : rng.Uniform(0.0, 5.0);
+        WorkloadDemand bg = SelfPaced(rng.Uniform(0.05, 2.0),
+                                      rng.Uniform(0.1, 1.0),
+                                      rng.Uniform(0.0, 3.0));
+        const double bg_pick = rng.NextDouble();
+        bg.demand_gips = bg_pick < 0.2   ? 0.0
+                         : bg_pick < 0.4 ? inf
+                                         : rng.Uniform(0.0, 1.0);
 
-    EXPECT_NEAR(het.foreground.gips, shared.foreground.gips, 1e-9);
-    EXPECT_NEAR(het.background.gips, shared.background.gips, 1e-9);
-    EXPECT_NEAR(het.big_busy_cores,
-                shared.foreground.busy_cores + shared.background.busy_cores,
-                1e-9);
-    EXPECT_DOUBLE_EQ(het.little_busy_cores, 0.0);
+        const HetExecutionRates actual =
+            OneCluster(engine, fg, bg, Gigahertz(freq), MegabytesPerSecond(mbps),
+                       cores);
+        const HomogeneousRates expected = HomogeneousReference(
+            engine.params(), fg, bg, freq, mbps, cores);
+        SCOPED_TRACE(::testing::Message() << "trial " << trial);
+        ExpectSameRates(actual.foreground, expected.foreground);
+        ExpectSameRates(actual.background, expected.background);
+        EXPECT_EQ(actual.big_busy_cores, expected.foreground.busy_cores +
+                                             expected.background.busy_cores);
+        EXPECT_EQ(actual.little_busy_cores, 0.0);
+        EXPECT_EQ(actual.big_max_core_load,
+                  std::max(CoreLoad(expected.foreground),
+                           CoreLoad(expected.background)));
+        EXPECT_EQ(actual.little_max_core_load, 0.0);
+        if (::testing::Test::HasFailure()) {
+            break;
+        }
+    }
 }
 
 TEST(HetExecutionTest, BothPlacementBeatsBigOnlyForParallelWork)
@@ -187,10 +330,10 @@ TEST(HetExecutionTest, BothPlacementBeatsBigOnlyForParallelWork)
     const WorkloadDemand fg = SelfPaced(1.0, 8.0, 0.05);
     const WorkloadDemand bg = SelfPaced(0.5, 0.5, 0.1);
 
-    const auto big_only = engine.ComputeSharedHet(
+    const auto big_only = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4), ThreadPlacement::kBigOnly,
         0.08, MegabytesPerSecond(8132));
-    const auto both = engine.ComputeSharedHet(
+    const auto both = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4), ThreadPlacement::kBoth,
         0.08, MegabytesPerSecond(8132));
     EXPECT_GT(both.foreground.gips, big_only.foreground.gips * 1.05);
@@ -203,10 +346,10 @@ TEST(HetExecutionTest, SpanPenaltyCostsThroughput)
     const WorkloadDemand fg = SelfPaced(1.0, 8.0, 0.0);
     const WorkloadDemand bg;  // negligible
 
-    const auto free_span = engine.ComputeSharedHet(
+    const auto free_span = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4), ThreadPlacement::kBoth,
         0.0, MegabytesPerSecond(8132));
-    const auto costly_span = engine.ComputeSharedHet(
+    const auto costly_span = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4), ThreadPlacement::kBoth,
         0.20, MegabytesPerSecond(8132));
     EXPECT_LT(costly_span.foreground.gips, free_span.foreground.gips);
@@ -218,10 +361,10 @@ TEST(HetExecutionTest, LittleOnlyIsSlowerAndKeepsBigIdle)
     const WorkloadDemand fg = SelfPaced(1.0, 3.0, 0.05);
     const WorkloadDemand bg = SelfPaced(0.5, 0.25, 0.0);
 
-    const auto little_only = engine.ComputeSharedHet(
+    const auto little_only = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4),
         ThreadPlacement::kLittleOnly, 0.08, MegabytesPerSecond(8132));
-    const auto big_only = engine.ComputeSharedHet(
+    const auto big_only = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4), ThreadPlacement::kBigOnly,
         0.08, MegabytesPerSecond(8132));
     EXPECT_LT(little_only.foreground.gips, big_only.foreground.gips);
@@ -237,7 +380,7 @@ TEST(HetExecutionTest, BackgroundFillsLittleFirst)
     WorkloadDemand bg = SelfPaced(0.6, 1.0, 0.1);
     bg.demand_gips = 0.2;
 
-    const auto het = engine.ComputeSharedHet(
+    const auto het = engine.ComputeShared(
         fg, bg, Op(1.9, 1.0, 4), Op(1.3, 0.58, 4), ThreadPlacement::kBoth,
         0.08, MegabytesPerSecond(8132));
     EXPECT_GT(het.background.gips, 0.0);
@@ -251,7 +394,7 @@ TEST(HetExecutionTest, BusyCoreSplitSumsToWorkloadBusyCores)
     const WorkloadDemand fg = SelfPaced(0.8, 5.0, 0.3);
     const WorkloadDemand bg = SelfPaced(0.5, 1.5, 0.2);
 
-    const auto het = engine.ComputeSharedHet(
+    const auto het = engine.ComputeShared(
         fg, bg, Op(1.5, 1.0, 4), Op(1.0, 0.58, 4), ThreadPlacement::kBoth,
         0.08, MegabytesPerSecond(5421));
     EXPECT_NEAR(het.big_busy_cores + het.little_busy_cores,
@@ -268,10 +411,10 @@ TEST(HetExecutionTest, HigherLittleClockHelpsLittleConfinedWork)
     const WorkloadDemand fg = SelfPaced(1.0, 4.0, 0.02);
     const WorkloadDemand bg;
 
-    const auto slow = engine.ComputeSharedHet(
+    const auto slow = engine.ComputeShared(
         fg, bg, Op(0.7, 1.0, 4), Op(0.4, 0.58, 4),
         ThreadPlacement::kLittleOnly, 0.08, MegabytesPerSecond(8132));
-    const auto fast = engine.ComputeSharedHet(
+    const auto fast = engine.ComputeShared(
         fg, bg, Op(0.7, 1.0, 4), Op(1.3, 0.58, 4),
         ThreadPlacement::kLittleOnly, 0.08, MegabytesPerSecond(8132));
     EXPECT_NEAR(fast.foreground.gips / slow.foreground.gips, 1.3 / 0.4, 0.5);

@@ -34,7 +34,7 @@ MeasureAngryBirds(int cpu_level, int bw_level)
     config.seed = 20170201 + static_cast<uint64_t>(cpu_level * 100 + bw_level);
     Device device(config);
     device.SetBackground(MakeBackgroundEnv(BackgroundKind::kBaseline));
-    device.PinConfiguration(cpu_level, bw_level);
+    device.PinHetConfiguration(HetConfig{cpu_level, 0, bw_level});
     device.LaunchApp(MakeAngryBirdsSpec());
     device.RunFor(SimTime::FromSeconds(30));
     return device.CollectResult("calibration");
@@ -80,7 +80,7 @@ TEST(BaseSpeedCalibrationTest, VidConBaseSpeed)
     config.seed = 20170202;
     Device device(config);
     device.SetBackground(MakeBackgroundEnv(BackgroundKind::kBaseline));
-    device.PinConfiguration(0, 0);
+    device.PinHetConfiguration(HetConfig{0, 0, 0});
     device.LaunchApp(MakeVidConSpec());
     device.RunFor(SimTime::FromSeconds(30));
     const RunResult result = device.CollectResult("calibration");
