@@ -31,39 +31,50 @@ MonsoonMonitor::Start()
     Stop();
     start_time_ = sim_->Now();
     last_sample_time_ = start_time_;
-    series_ = sim_->ScheduleEvery(SimTime::FromSecondsF(1.0 / config_.sample_hz),
-                                  [this] { TakeSample(); });
+    sim_->StartSampler(
+        SimTime::FromSecondsF(1.0 / config_.sample_hz),
+        [](void* self, SimTime first, uint64_t n, SimTime period) {
+            static_cast<MonsoonMonitor*>(self)->TakeSamples(first, n, period);
+        },
+        this);
+    sampling_ = true;
 }
 
 void
 MonsoonMonitor::Stop()
 {
-    if (series_ != kInvalidEventId) {
-        sim_->Cancel(series_);
-        series_ = kInvalidEventId;
+    if (sampling_) {
+        sim_->StopSampler();
+        sampling_ = false;
     }
 }
 
+// aeo: hot-path
 void
-MonsoonMonitor::TakeSample()
+MonsoonMonitor::TakeSamples(SimTime first, uint64_t n, SimTime period)
 {
-    if (injector_ != nullptr && !injector_->OnRead(fault_query_).ok()) {
-        ++dropped_sample_count_;
-        return;
-    }
-    const double true_mw = power_source_().value();
-    const double measured_mw =
-        true_mw * (1.0 + rng_.Gaussian(0.0, config_.noise_rel_stddev));
-    power_sum_mw_ += measured_mw;
-    ++sample_count_;
-    window_sum_mw_ += measured_mw;
-    ++window_count_;
-    last_sample_time_ = sim_->Now();
-    if (config_.trace_decimation > 0 &&
-        sample_count_ % static_cast<uint64_t>(config_.trace_decimation) == 0) {
-        // aeo-lint: allow(hot-path-alloc) -- the decimated power trace is
-        // the meter's output artifact; growth here IS the product.
-        trace_.push_back(PowerSample{sim_->Now(), Milliwatts(measured_mw)});
+    // No event runs inside a batch, so every sample sees the same power.
+    // It is read at the first kept sample, as a per-sample read would be:
+    // a batch whose samples are all dropped leaves the device's power memo
+    // as it was.
+    double true_mw = 0.0;
+    bool have_power = false;
+    for (uint64_t i = 0; i < n; ++i) {
+        if (injector_ != nullptr && !injector_->OnRead(fault_query_).ok()) {
+            ++dropped_sample_count_;
+            continue;
+        }
+        if (!have_power) {
+            true_mw = power_source_().value();
+            have_power = true;
+        }
+        const double measured_mw =
+            true_mw * (1.0 + rng_.Gaussian(0.0, config_.noise_rel_stddev));
+        power_sum_mw_ += measured_mw;
+        ++sample_count_;
+        window_sum_mw_ += measured_mw;
+        ++window_count_;
+        last_sample_time_ = first + period * static_cast<int64_t>(i);
     }
 }
 
@@ -98,18 +109,6 @@ SimTime
 MonsoonMonitor::ObservedDuration() const
 {
     return last_sample_time_ - start_time_;
-}
-
-void
-MonsoonMonitor::Reset()
-{
-    power_sum_mw_ = 0.0;
-    sample_count_ = 0;
-    window_sum_mw_ = 0.0;
-    window_count_ = 0;
-    trace_.clear();
-    start_time_ = sim_->Now();
-    last_sample_time_ = start_time_;
 }
 
 }  // namespace aeo

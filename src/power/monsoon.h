@@ -5,16 +5,19 @@
  * The paper measures whole-device power with a Monsoon monitor sampling at
  * 5 kHz (§IV-A). This model samples the device's instantaneous power at the
  * same rate, applies Gaussian measurement noise, and reports the running
- * average and an optional decimated trace. Experiments read their "measured"
- * power from here — exactly as the authors did — while the exact EnergyMeter
- * integral remains available for validation.
+ * average. Experiments read their "measured" power from here — exactly as
+ * the authors did — while the exact EnergyMeter integral remains available
+ * for validation.
+ *
+ * The samples ride the simulator's lazy sampler series: device power is
+ * constant between events, so the samples owed since the last event are
+ * taken in one batch just before the next one, each with its own fault
+ * check and noise draw, in the order a per-sample event would take them.
  */
 #ifndef AEO_POWER_MONSOON_H_
 #define AEO_POWER_MONSOON_H_
 
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/random.h"
 #include "common/units.h"
@@ -32,14 +35,6 @@ struct MonsoonConfig {
     double sample_hz = 5000.0;
     /** Relative standard deviation of per-sample measurement noise. */
     double noise_rel_stddev = 0.004;
-    /** Keep every Nth sample in the trace; 0 disables the trace. */
-    int trace_decimation = 0;
-};
-
-/** One retained trace sample. */
-struct PowerSample {
-    SimTime when;
-    Milliwatts power;
 };
 
 /** Samples a power source periodically and accumulates statistics. */
@@ -103,22 +98,16 @@ class MonsoonMonitor {
     /** Wall time spanned by the measurement (start → last sample). */
     SimTime ObservedDuration() const;
 
-    /** Decimated sample trace (empty unless enabled in the config). */
-    const std::vector<PowerSample>& trace() const { return trace_; }
-
-    /** Clears statistics and the trace (does not stop sampling). */
-    void Reset();
-
   private:
-    void TakeSample();
+    /** Takes the @p n samples due at @p first, @p first + @p period, ... */
+    void TakeSamples(SimTime first, uint64_t n, SimTime period);
 
     Simulator* sim_;
     std::function<Milliwatts()> power_source_;
     Rng rng_;
     MonsoonConfig config_;
-    /** The 5 kHz sampling series: scheduled directly on the event core so
-     * each sample costs one slab dispatch, no std::function hop. */
-    EventId series_ = kInvalidEventId;
+    /** The simulator's sampler series is ours. */
+    bool sampling_ = false;
     FaultInjector* injector_ = nullptr;
     /** Memoized injector lookup for the per-sample guard. */
     FaultInjector::PathQuery fault_query_{kMonsoonFaultPath};
@@ -129,7 +118,6 @@ class MonsoonMonitor {
     double window_sum_mw_ = 0.0;
     uint64_t window_count_ = 0;
     uint64_t dropped_sample_count_ = 0;
-    std::vector<PowerSample> trace_;
 };
 
 }  // namespace aeo

@@ -12,17 +12,23 @@
  * directly; ids carry a generation tag so Cancel() of a stale id (already
  * ran, already cancelled, slot since reused) is detected exactly. A
  * repeating event (ScheduleEvery) re-arms its own slab record in place, so
- * steady-state periodic firing — the 5 kHz power monitor, governor timers,
- * thermal polling — allocates nothing at all.
+ * steady-state periodic firing — governor timers, thermal polling —
+ * allocates nothing at all.
  *
  * The dispatch order contract is unchanged from the original
  * unordered_map-backed queue: strictly increasing (when, seq), seq assigned
  * per schedule *and* per repeating re-arm in the same order the old
  * PeriodicTask consumed them, so bench outputs are byte-identical.
+ *
+ * The 5 kHz power monitor does not use the heap at all: it is the queue's
+ * one lazy sampler series (StartSampler), whose owed ticks are delivered
+ * in one batch just before each real dispatch, in the (when, seq) order an
+ * eager ScheduleEvery series would have fired them.
  */
 #ifndef AEO_SIM_EVENT_QUEUE_H_
 #define AEO_SIM_EVENT_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -47,6 +53,14 @@ inline constexpr EventId kInvalidEventId = 0;
  * the dispatch path itself touches only the queue-local counter.
  */
 uint64_t TotalExecutedEvents();
+
+/**
+ * Receives one batch of lazy sampler ticks, at @p first,
+ * @p first + @p period, ..., @p first + (@p n - 1) * @p period (n >= 1).
+ * See EventQueue::StartSampler for what it may and may not do.
+ */
+using SamplerFn = void (*)(void* context, SimTime first, uint64_t n,
+                           SimTime period);
 
 /** Time-ordered queue of callbacks with stable tie-breaking. */
 class EventQueue {
@@ -78,6 +92,45 @@ class EventQueue {
     {
         AEO_ASSERT(period > SimTime::Zero(), "repeat period must be positive");
         return Arm(first, period, std::forward<F>(fn));
+    }
+
+    /**
+     * Arms the queue's lazy sampler series: ticks at @p first, then every
+     * @p period (> 0), until StopSampler(). The series takes the (when,
+     * seq) place a ScheduleEvery series would, but its ticks never enter
+     * the heap: RunNext() hands @p fn every tick ordered before the event
+     * it is about to dispatch, in one call, and DeliverSamplerTicksThrough()
+     * hands it the ticks up to a deadline. Each tick consumes one seq, as
+     * an eager re-arm does, so a tick and a real event at the same instant
+     * keep the eager order: an event scheduled before the previous tick
+     * fired runs first, one scheduled after it runs second.
+     *
+     * @p fn must not schedule, cancel or stop anything, and must take tick
+     * instants from its arguments, not from the simulator clock. One
+     * sampler per queue.
+     */
+    void
+    StartSampler(SimTime first, SimTime period, SamplerFn fn, void* context)
+    {
+        AEO_ASSERT(period > SimTime::Zero(), "sampler period must be positive");
+        AEO_ASSERT(fn != nullptr, "sampler needs a callback");
+        AEO_ASSERT(sampler_.fn == nullptr, "one sampler per queue");
+        sampler_ = Sampler{first, next_seq_++, period, fn, context};
+    }
+
+    /** Disarms the sampler series; ticks not yet delivered are dropped. */
+    void StopSampler() { sampler_.fn = nullptr; }
+
+    /** Delivers the sampler ticks at or before @p deadline. */
+    void
+    DeliverSamplerTicksThrough(SimTime deadline)
+    {
+        if (sampler_.fn == nullptr || sampler_.when > deadline) {
+            return;
+        }
+        DeliverSamplerTicks(static_cast<uint64_t>(
+            (deadline - sampler_.when).micros() / sampler_.period.micros() +
+            1));
     }
 
     /**
@@ -143,7 +196,8 @@ class EventQueue {
     }
 
     /**
-     * Removes and runs the earliest pending event.
+     * Delivers the sampler ticks ordered before the earliest pending event,
+     * then removes and runs that event.
      *
      * @return the time of the event that ran; panics if empty.
      */
@@ -154,6 +208,7 @@ class EventQueue {
         DropStaleHead();
         AEO_ASSERT(!heap_.empty(), "RunNext() on empty event queue");
         const HeapEntry entry = heap_.front();
+        DeliverSamplerTicksBefore(entry);
         Slot& s = slots_[entry.slot];
         ++executed_count_;
         if (s.period > SimTime::Zero()) {
@@ -189,10 +244,11 @@ class EventQueue {
     }
 
     /** Number of pending (non-cancelled) events; a repeating series counts
-     * as one while armed. */
+     * as one while armed, the sampler series not at all. */
     size_t PendingCount() const { return pending_count_; }
 
-    /** Total events executed so far (for instrumentation). */
+    /** Total events executed so far (for instrumentation); sampler ticks
+     * are not events and are not counted. */
     uint64_t executed_count() const { return executed_count_; }
 
     /** Slab capacity (for tests: bounded by peak concurrency, not churn). */
@@ -240,6 +296,45 @@ class EventQueue {
     }
 
     static constexpr uint32_t kNoFreeSlot = 0xffffffffu;
+
+    /** The lazy sampler series; armed while fn is set. */
+    struct Sampler {
+        /** Instant and seq of the next owed tick. */
+        SimTime when;
+        uint64_t seq = 0;
+        SimTime period;
+        SamplerFn fn = nullptr;
+        void* context = nullptr;
+    };
+
+    /** Delivers the sampler ticks ordered before @p next. */
+    void
+    DeliverSamplerTicksBefore(const HeapEntry& next)
+    {
+        if (sampler_.fn == nullptr ||
+            !Earlier(HeapEntry{sampler_.when, sampler_.seq, 0, 0}, next)) {
+            return;
+        }
+        // The first owed tick carries its own seq. Every later one gets a
+        // fresh seq above all pending ones, so it precedes only events at
+        // strictly later instants: ceil(gap / period) ticks, at least one.
+        const int64_t gap = (next.when - sampler_.when).micros();
+        const int64_t period = sampler_.period.micros();
+        DeliverSamplerTicks(static_cast<uint64_t>(
+            std::max<int64_t>(1, (gap + period - 1) / period)));
+    }
+
+    /** Advances the sampler past @p n ticks — consuming one seq each, the
+     * last one becoming the series' seq — then hands them to its callback. */
+    void
+    DeliverSamplerTicks(uint64_t n)
+    {
+        const SimTime first = sampler_.when;
+        sampler_.when = first + sampler_.period * static_cast<int64_t>(n);
+        next_seq_ += n;
+        sampler_.seq = next_seq_ - 1;
+        sampler_.fn(sampler_.context, first, n, sampler_.period);
+    }
 
     /** Restores the min-heap invariant upward from @p i (after push_back). */
     void
@@ -367,6 +462,7 @@ class EventQueue {
     std::deque<Slot> slots_;
     /** Binary heap over live (and lazily-dropped stale) entries. */
     mutable std::vector<HeapEntry> heap_;
+    Sampler sampler_;
     uint32_t free_head_ = kNoFreeSlot;
     uint64_t next_seq_ = 1;
     size_t pending_count_ = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
  * A periodic callback bound to a Simulator — used for governor sampling
- * timers, the power monitor, and thermal polling.
+ * timers and thermal polling.
  *
  * Since the event core grew first-class repeating events (DESIGN.md §14)
  * this is a thin veneer over Simulator::ScheduleEvery: the series re-arms

@@ -16,6 +16,7 @@ Simulator::RunUntil(SimTime deadline)
         queue_.RunNext();
     }
     if (!stop_requested_) {
+        queue_.DeliverSamplerTicksThrough(deadline);
         now_ = deadline;
     }
 }

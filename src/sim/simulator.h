@@ -61,12 +61,31 @@ class Simulator {
                                     std::forward<F>(fn));
     }
 
+    /**
+     * Starts the lazy sampler series: a tick every @p period (> 0), first
+     * one period from now, delivered to @p fn in batches just before each
+     * real dispatch and at the end of an unstopped run, in the order a
+     * ScheduleEvery series would have fired them (EventQueue::StartSampler
+     * states the ordering contract and what @p fn may not do). Ticks are
+     * not events: executed_events() does not count them.
+     */
+    void
+    StartSampler(SimTime period, SamplerFn fn, void* context)
+    {
+        queue_.StartSampler(now_ + period, period, fn, context);
+    }
+
+    /** Stops the sampler series; owed ticks not yet delivered are dropped. */
+    void StopSampler() { queue_.StopSampler(); }
+
     /** Cancels a pending event or repeating series; see EventQueue::Cancel. */
     bool Cancel(EventId id) { return queue_.Cancel(id); }
 
     /**
      * Runs events until simulated time reaches @p deadline, Stop() is called,
      * or the queue drains. The clock is left at min(deadline, stop time).
+     * Unless stopped, the sampler ticks up to and including @p deadline are
+     * delivered before it returns.
      */
     void RunUntil(SimTime deadline);
 
@@ -79,7 +98,7 @@ class Simulator {
     /** True if Stop() ended the last run before its deadline. */
     bool stopped() const { return stop_requested_; }
 
-    /** Events executed since construction. */
+    /** Events executed since construction (sampler ticks excluded). */
     uint64_t executed_events() const { return queue_.executed_count(); }
 
   private:

@@ -10,6 +10,14 @@
  * RunNext must produce the identical firing log and identical Cancel()
  * return values on both implementations, across generations of slot reuse.
  *
+ * The lazy sampler series is checked the same way, one level up: a
+ * Simulator whose sampler ticks arrive in batches must log every tick
+ * instant and every event in the order a reference executive logs them
+ * when the sampler is one more eager periodic entry in the naive queue —
+ * under random schedules, cancels, ScheduleEvery series, RunUntil at
+ * random deadlines, Stop() from inside callbacks, and events placed
+ * exactly on tick instants.
+ *
  * This binary runs under the unit suite and, via its robustness and
  * concurrency labels, under the ASan/UBSan and TSan CI jobs — the slab's
  * deferred-free and generation-reuse paths are exactly where lifetime bugs
@@ -27,6 +35,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "sim/simulator.h"
 
 // GCC pairs the inlined allocator calls with this TU's replacement
 // operator new (malloc-backed) and flags the free() in the replacement
@@ -123,18 +132,18 @@ class ReferenceQueue {
 
     bool Empty() const { return entries_.empty(); }
 
+    /** Instant of the earliest entry; the queue must not be empty. */
+    SimTime
+    NextTime() const
+    {
+        return entries_[Earliest()].when;
+    }
+
     /** Fires the earliest entry; returns its (tag, when). */
     std::pair<int, SimTime>
     RunNext()
     {
-        size_t best = 0;
-        for (size_t i = 1; i < entries_.size(); ++i) {
-            const Entry& e = entries_[i];
-            const Entry& b = entries_[best];
-            if (e.when < b.when || (e.when == b.when && e.seq < b.seq)) {
-                best = i;
-            }
-        }
+        const size_t best = Earliest();
         Entry& chosen = entries_[best];
         const std::pair<int, SimTime> fired{chosen.tag, chosen.when};
         if (chosen.period > SimTime::Zero()) {
@@ -155,6 +164,21 @@ class ReferenceQueue {
         SimTime period;
         int tag;
     };
+
+    size_t
+    Earliest() const
+    {
+        size_t best = 0;
+        for (size_t i = 1; i < entries_.size(); ++i) {
+            const Entry& e = entries_[i];
+            const Entry& b = entries_[best];
+            if (e.when < b.when || (e.when == b.when && e.seq < b.seq)) {
+                best = i;
+            }
+        }
+        return best;
+    }
+
     std::vector<Entry> entries_;
     uint64_t next_id_ = 1;
     uint64_t next_seq_ = 1;
@@ -254,6 +278,335 @@ TEST(EventQueuePropertyTest, MatchesReferenceModelAcrossSeeds)
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         RunInterleaving(seed, 400);
     }
+}
+
+/** Log tags that are not event ids. */
+constexpr int kTickTag = -1;
+constexpr int kCancelHitTag = -2;
+constexpr int kCancelMissTag = -3;
+constexpr int kRunEndTag = -4;
+constexpr int kStopTag = -5;
+
+/** One log line: an event id (or one of the tags above) and its instant. */
+using LogEntry = std::pair<int, SimTime>;
+
+/**
+ * The script both executives run. Every decision is drawn from one seeded
+ * Rng in firing order, so two executives that fire in the same order make
+ * the same decisions, and the first divergence shows in the log.
+ */
+class SamplerScript {
+  public:
+    virtual ~SamplerScript() = default;
+
+    std::vector<LogEntry>
+    Run(uint64_t seed, int segments)
+    {
+        rng_ = Rng(seed);
+        period_ = SimTime::Micros(rng_.UniformInt(3, 9));
+        // Events armed before the sampler, so its first seq sits among
+        // theirs.
+        for (int i = 0; i < 3; ++i) {
+            ScheduleOneShot();
+        }
+        ToggleSampler();
+        for (int segment = 0; segment < segments; ++segment) {
+            Act(false);
+            if (rng_.Bernoulli(0.5)) {
+                RunUntil(TickInstant(rng_.UniformInt(0, 6)));
+            } else {
+                RunUntil(Now() + period_ * rng_.UniformInt(0, 12));
+            }
+            log_.emplace_back(kRunEndTag, Now());
+        }
+        return log_;
+    }
+
+  protected:
+    virtual SimTime Now() const = 0;
+    virtual uint64_t ScheduleAt(SimTime when, int tag) = 0;
+    virtual uint64_t ScheduleEvery(SimTime period, int tag) = 0;
+    virtual bool Cancel(uint64_t id) = 0;
+    virtual void StartSampler(SimTime period) = 0;
+    virtual void StopSampler() = 0;
+    virtual void RequestStop() = 0;
+    virtual void RunUntil(SimTime deadline) = 0;
+
+    /** A real event fired: log it, then act on the script. */
+    void
+    OnEvent(int tag)
+    {
+        log_.emplace_back(tag, Now());
+        Act(true);
+    }
+
+    /** A sampler tick: logged only, since a tick may not act. */
+    void OnTick(SimTime when) { log_.emplace_back(kTickTag, when); }
+
+  private:
+    /** One random step: schedule, cancel, start a series, toggle the
+     * sampler, or (inside a callback only) stop the run. */
+    void
+    Act(bool in_callback)
+    {
+        const int64_t roll = rng_.UniformInt(0, 99);
+        if (roll < 30) {
+            ScheduleOneShot();
+        } else if (roll < 50) {
+            // Exactly on the current or one of the next two tick
+            // instants. Depending on whether the tick before it has fired
+            // yet, the event lands before or after its tick.
+            ids_.push_back(ScheduleAt(TickInstant(rng_.UniformInt(0, 2)),
+                                      next_tag_++));
+        } else if (roll < 56 && series_ < 4) {
+            ++series_;
+            ids_.push_back(ScheduleEvery(
+                period_ * rng_.UniformInt(1, 5) +
+                    SimTime::Micros(rng_.UniformInt(0, 2)),
+                next_tag_++));
+        } else if (roll < 75 && !ids_.empty()) {
+            const uint64_t id = ids_[static_cast<size_t>(
+                rng_.UniformInt(0, static_cast<int64_t>(ids_.size()) - 1))];
+            log_.emplace_back(Cancel(id) ? kCancelHitTag : kCancelMissTag,
+                              Now());
+        } else if (roll < 79) {
+            ToggleSampler();
+        } else if (roll < 84 && in_callback) {
+            log_.emplace_back(kStopTag, Now());
+            RequestStop();
+        }
+    }
+
+    void
+    ScheduleOneShot()
+    {
+        ids_.push_back(ScheduleAt(
+            Now() + SimTime::Micros(rng_.UniformInt(0, 3 * period_.micros())),
+            next_tag_++));
+    }
+
+    void
+    ToggleSampler()
+    {
+        if (sampling_) {
+            StopSampler();
+        } else {
+            origin_ = Now();
+            StartSampler(period_);
+        }
+        sampling_ = !sampling_;
+    }
+
+    /** The @p ahead-th tick instant at or after now (of the current or,
+     * when stopped, the last sampler phase). */
+    SimTime
+    TickInstant(int64_t ahead) const
+    {
+        const int64_t p = period_.micros();
+        const int64_t owed = ((Now() - origin_).micros() + p - 1) / p;
+        return origin_ + period_ * (owed + ahead);
+    }
+
+    Rng rng_{1};
+    SimTime period_;
+    SimTime origin_;
+    bool sampling_ = false;
+    int series_ = 0;
+    int next_tag_ = 0;
+    std::vector<uint64_t> ids_;
+    std::vector<LogEntry> log_;
+};
+
+/** The reference: the naive queue under a clock, the sampler being one
+ * more eager periodic entry in it. */
+class EagerExecutive final : public SamplerScript {
+  protected:
+    SimTime Now() const override { return now_; }
+
+    uint64_t
+    ScheduleAt(SimTime when, int tag) override
+    {
+        return queue_.Schedule(when, SimTime::Zero(), tag);
+    }
+
+    uint64_t
+    ScheduleEvery(SimTime period, int tag) override
+    {
+        return queue_.Schedule(now_ + period, period, tag);
+    }
+
+    bool Cancel(uint64_t id) override { return queue_.Cancel(id); }
+
+    void
+    StartSampler(SimTime period) override
+    {
+        sampler_ = queue_.Schedule(now_ + period, period, kTickTag);
+    }
+
+    void StopSampler() override { queue_.Cancel(sampler_); }
+
+    void RequestStop() override { stop_ = true; }
+
+    void
+    RunUntil(SimTime deadline) override
+    {
+        stop_ = false;
+        while (!stop_ && !queue_.Empty() && queue_.NextTime() <= deadline) {
+            const auto [tag, when] = queue_.RunNext();
+            now_ = when;
+            if (tag == kTickTag) {
+                OnTick(when);
+            } else {
+                OnEvent(tag);
+            }
+        }
+        if (!stop_) {
+            now_ = deadline;
+        }
+    }
+
+  private:
+    ReferenceQueue queue_;
+    SimTime now_;
+    bool stop_ = false;
+    uint64_t sampler_ = 0;
+};
+
+/** The real Simulator with its lazy sampler series. */
+class LazyExecutive final : public SamplerScript {
+  protected:
+    SimTime Now() const override { return sim_.Now(); }
+
+    uint64_t
+    ScheduleAt(SimTime when, int tag) override
+    {
+        return sim_.ScheduleAt(when, [this, tag] { OnEvent(tag); });
+    }
+
+    uint64_t
+    ScheduleEvery(SimTime period, int tag) override
+    {
+        return sim_.ScheduleEvery(period, [this, tag] { OnEvent(tag); });
+    }
+
+    bool Cancel(uint64_t id) override { return sim_.Cancel(id); }
+
+    void
+    StartSampler(SimTime period) override
+    {
+        sim_.StartSampler(period, &LazyExecutive::Ticks, this);
+    }
+
+    void StopSampler() override { sim_.StopSampler(); }
+
+    void RequestStop() override { sim_.Stop(); }
+
+    void RunUntil(SimTime deadline) override { sim_.RunUntil(deadline); }
+
+  private:
+    static void
+    Ticks(void* self, SimTime first, uint64_t n, SimTime period)
+    {
+        for (uint64_t i = 0; i < n; ++i) {
+            static_cast<LazyExecutive*>(self)->OnTick(
+                first + period * static_cast<int64_t>(i));
+        }
+    }
+
+    Simulator sim_;
+};
+
+TEST(EventQueuePropertyTest, LazySamplerMatchesEagerSeries)
+{
+    uint64_t ticks = 0;
+    uint64_t stops = 0;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        EagerExecutive eager;
+        LazyExecutive lazy;
+        const std::vector<LogEntry> expected = eager.Run(seed, 400);
+        const std::vector<LogEntry> actual = lazy.Run(seed, 400);
+        ASSERT_EQ(actual.size(), expected.size()) << "seed " << seed;
+        for (size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ(actual[i], expected[i])
+                << "seed " << seed << " line " << i;
+        }
+        for (const LogEntry& line : expected) {
+            ticks += line.first == kTickTag ? 1 : 0;
+            stops += line.first == kStopTag ? 1 : 0;
+        }
+    }
+    // The script really exercised the batches and the stop path.
+    EXPECT_GT(ticks, 10'000u);
+    EXPECT_GT(stops, 0u);
+}
+
+TEST(EventQueuePropertyTest, SamplerTickAndEventOnSameInstant)
+{
+    // The tick at 2 ms takes its seq when the 1 ms tick fires. An event
+    // at 2 ms scheduled before that runs first; one scheduled after it
+    // runs second — the eager series' order.
+    Simulator sim;
+    std::vector<std::pair<int, int64_t>> log;
+    sim.ScheduleAt(SimTime::Millis(2), [&] { log.emplace_back(1, 2000); });
+    sim.StartSampler(
+        SimTime::Millis(1),
+        [](void* self, SimTime first, uint64_t n, SimTime period) {
+            auto* out = static_cast<std::vector<std::pair<int, int64_t>>*>(
+                self);
+            for (uint64_t i = 0; i < n; ++i) {
+                out->emplace_back(
+                    0, (first + period * static_cast<int64_t>(i)).micros());
+            }
+        },
+        &log);
+    sim.ScheduleAt(SimTime::Micros(1500), [&] {
+        sim.ScheduleAt(SimTime::Millis(2), [&] { log.emplace_back(2, 2000); });
+    });
+    sim.RunUntil(SimTime::Millis(3));
+    EXPECT_EQ(log, (std::vector<std::pair<int, int64_t>>{
+                       {0, 1000}, {1, 2000}, {0, 2000}, {2, 2000}, {0, 3000}}));
+    EXPECT_EQ(sim.executed_events(), 3u);  // ticks are not events
+}
+
+TEST(EventQueuePropertyTest, SamplerBatchesDoNotAllocate)
+{
+    // Batches cut by dispatches and by deadlines touch the heap zero times.
+    Simulator sim;
+    struct Counter {
+        uint64_t batches = 0;
+        uint64_t ticks = 0;
+    } counter;
+    sim.StartSampler(
+        SimTime::Micros(200),
+        [](void* self, SimTime, uint64_t n, SimTime) {
+            auto* c = static_cast<Counter*>(self);
+            ++c->batches;
+            c->ticks += n;
+        },
+        &counter);
+    struct Chain {
+        Simulator* sim;
+        void
+        Fire()
+        {
+            sim->ScheduleAfter(SimTime::Micros(1370), [this] { Fire(); });
+        }
+    };
+    Chain chain{&sim};
+    chain.Fire();
+    sim.RunFor(SimTime::Millis(50));  // warmup
+
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const uint64_t batches_before = counter.batches;
+    for (int i = 0; i < 1000; ++i) {
+        sim.RunFor(SimTime::Micros(3001));
+    }
+    const uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_GT(counter.batches - batches_before, 2000u);
+    EXPECT_EQ(allocs, 0u) << "sampler batches must not allocate";
+    // One tick per 200 us of the 50 ms + 3.001 s run.
+    EXPECT_EQ(counter.ticks, (50'000u + 3'001'000u) / 200u);
 }
 
 TEST(EventQueuePropertyTest, GenerationTagsSurviveHeavySlotReuse)
