@@ -4,11 +4,14 @@
  *
  * Every event callback in the simulator is stored directly inside its slab
  * record (see event_queue.h) instead of behind a heap-allocated
- * std::function, so scheduling an event performs zero allocations. The
- * trade-off is a hard capture budget: a lambda whose captures exceed
- * kEventCallbackCapacity fails to compile (static_assert) rather than
- * silently spilling to the heap. Oversized cold-path captures should move
- * their bulk behind a shared_ptr (the chaos campaign wiring does this).
+ * std::function, so scheduling an event performs zero allocations. Every
+ * event is a one-shot — a PeriodicTask re-arms by scheduling a fresh one
+ * each period — so this is also what keeps periodic firing
+ * allocation-free. The trade-off is a hard capture budget: a lambda whose
+ * captures exceed kEventCallbackCapacity fails to compile (static_assert)
+ * rather than silently spilling to the heap. Oversized cold-path captures
+ * should move their bulk behind a shared_ptr (the chaos campaign wiring
+ * does this).
  */
 #ifndef AEO_SIM_EVENT_CALLBACK_H_
 #define AEO_SIM_EVENT_CALLBACK_H_
@@ -45,7 +48,7 @@ class EventCallback {
                       "move the bulk behind a shared_ptr");
         static_assert(alignof(Fn) <= alignof(std::max_align_t),
                       "over-aligned event callback capture");
-        // Moves happen at arm time and one-shot dispatch only. A capture
+        // Moves happen at arm time and at dispatch only. A capture
         // whose move degrades to a copy (e.g. a const std::string member)
         // is tolerated: its copy can only throw on OOM, which terminates
         // under the noexcept move path — the repo's panic policy anyway.

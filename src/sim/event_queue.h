@@ -10,20 +10,19 @@
  * threaded on a free list — no per-event heap allocation and no hash
  * operations anywhere on the dispatch path. Heap entries index the slab
  * directly; ids carry a generation tag so Cancel() of a stale id (already
- * ran, already cancelled, slot since reused) is detected exactly. A
- * repeating event (ScheduleEvery) re-arms its own slab record in place, so
- * steady-state periodic firing — governor timers, thermal polling —
- * allocates nothing at all.
+ * ran, already cancelled, slot since reused) is detected exactly. Every
+ * event is a one-shot: a periodic timer (PeriodicTask) re-arms itself as a
+ * fresh one-shot before its callback runs, which recycles the slot just
+ * freed, so steady-state periodic firing allocates nothing either.
  *
  * The dispatch order contract is unchanged from the original
- * unordered_map-backed queue: strictly increasing (when, seq), seq assigned
- * per schedule *and* per repeating re-arm in the same order the old
- * PeriodicTask consumed them, so bench outputs are byte-identical.
+ * unordered_map-backed queue: strictly increasing (when, seq), one seq
+ * per schedule.
  *
  * The 5 kHz power monitor does not use the heap at all: it is the queue's
  * one lazy sampler series (StartSampler), whose owed ticks are delivered
  * in one batch just before each real dispatch, in the (when, seq) order an
- * eager ScheduleEvery series would have fired them.
+ * eager self-re-arming series would have fired them.
  */
 #ifndef AEO_SIM_EVENT_QUEUE_H_
 #define AEO_SIM_EVENT_QUEUE_H_
@@ -76,32 +75,31 @@ class EventQueue {
     EventId
     Schedule(SimTime when, F&& fn)
     {
-        return Arm(when, SimTime::Zero(), std::forward<F>(fn));
-    }
-
-    /**
-     * Schedules a repeating event: first fires at @p first, then every
-     * @p period (> 0) until cancelled. The next occurrence is re-armed in
-     * the same slab record *before* the callback runs — same seq
-     * consumption as a self-rescheduling one-shot, zero allocations per
-     * fire. The returned id cancels the whole series.
-     */
-    template <typename F>
-    EventId
-    ScheduleEvery(SimTime first, SimTime period, F&& fn)
-    {
-        AEO_ASSERT(period > SimTime::Zero(), "repeat period must be positive");
-        return Arm(first, period, std::forward<F>(fn));
+        if constexpr (requires { static_cast<bool>(fn); }) {
+            AEO_ASSERT(static_cast<bool>(fn), "scheduling a null callback");
+        }
+        const uint32_t slot = Acquire();
+        Slot& s = slots_[slot];
+        s.fn = EventCallback(std::forward<F>(fn));
+        s.armed = true;
+        // aeo-lint: allow(hot-path-alloc) -- the heap reuses its capacity;
+        // it grows only past the armed-timer high-water mark.
+        heap_.push_back(HeapEntry{when, next_seq_++, slot, s.generation});
+        SiftUp(heap_.size() - 1);
+        ++pending_count_;
+        return (static_cast<uint64_t>(s.generation) << 32) |
+               static_cast<uint64_t>(slot + 1);
     }
 
     /**
      * Arms the queue's lazy sampler series: ticks at @p first, then every
      * @p period (> 0), until StopSampler(). The series takes the (when,
-     * seq) place a ScheduleEvery series would, but its ticks never enter
-     * the heap: RunNext() hands @p fn every tick ordered before the event
-     * it is about to dispatch, in one call, and DeliverSamplerTicksThrough()
-     * hands it the ticks up to a deadline. Each tick consumes one seq, as
-     * an eager re-arm does, so a tick and a real event at the same instant
+     * seq) place of an eager PeriodicTask, which re-arms as a one-shot
+     * before each tick, but its ticks never enter the heap: RunNext()
+     * hands @p fn every tick ordered before the event it is about to
+     * dispatch, in one call, and DeliverSamplerTicksThrough() hands it the
+     * ticks up to a deadline. Each tick consumes one seq, as the eager
+     * re-arm does, so a tick and a real event at the same instant
      * keep the eager order: an event scheduled before the previous tick
      * fired runs first, one scheduled after it runs second.
      *
@@ -134,7 +132,7 @@ class EventQueue {
     }
 
     /**
-     * Cancels a previously scheduled event (or repeating series).
+     * Cancels a previously scheduled event.
      *
      * @return true if the event was pending and is now cancelled; false if it
      *         already ran, was already cancelled, or the id is unknown.
@@ -151,17 +149,7 @@ class EventQueue {
         if (!s.armed || s.generation != static_cast<uint32_t>(id >> 32)) {
             return false;
         }
-        s.armed = false;
-        BumpGeneration(s);  // invalidates the slot's heap entry lazily
-        --pending_count_;
-        if (s.firing) {
-            // Mid-dispatch of this repeating event: its storage is live on
-            // the call stack, so the slot returns to the free list only
-            // after the callback finishes (see RunNext).
-            s.free_deferred = true;
-        } else {
-            Release(slot);
-        }
+        Release(slot);
         return true;
     }
 
@@ -209,42 +197,19 @@ class EventQueue {
         AEO_ASSERT(!heap_.empty(), "RunNext() on empty event queue");
         const HeapEntry entry = heap_.front();
         DeliverSamplerTicksBefore(entry);
-        Slot& s = slots_[entry.slot];
         ++executed_count_;
-        if (s.period > SimTime::Zero()) {
-            // Repeating: re-arm the same record before delivering, so a
-            // callback that schedules events sees the same seq order as the
-            // old reschedule-before-deliver PeriodicTask. The next
-            // occurrence replaces the extracted top in one sift instead of
-            // a pop + push pair — extraction order is governed solely by
-            // the total order on (when, seq), so this is unobservable.
-            heap_.front() = HeapEntry{entry.when + s.period, next_seq_++,
-                                      entry.slot, s.generation};
-            SiftDown(0);
-            s.firing = true;
-            s.fn();
-            s.firing = false;
-            if (s.free_deferred) {
-                s.free_deferred = false;
-                Release(entry.slot);
-            }
-        } else {
-            PopTop();
-            // One-shot: move the callback out and free the slot first, so
-            // the callback can schedule into (and Cancel() ids of) a fully
-            // consistent queue — matching the old erase-before-invoke order.
-            EventCallback fn = std::move(s.fn);
-            s.armed = false;
-            BumpGeneration(s);
-            --pending_count_;
-            Release(entry.slot);
-            fn();
-        }
+        PopTop();
+        // Move the callback out and free the slot first, so the callback
+        // can schedule into (and Cancel() ids of) a fully consistent queue
+        // — matching the old erase-before-invoke order.
+        EventCallback fn = std::move(slots_[entry.slot].fn);
+        Release(entry.slot);
+        fn();
         return entry.when;
     }
 
-    /** Number of pending (non-cancelled) events; a repeating series counts
-     * as one while armed, the sampler series not at all. */
+    /** Number of pending (non-cancelled) events; the sampler series does
+     * not count. */
     size_t PendingCount() const { return pending_count_; }
 
     /** Total events executed so far (for instrumentation); sampler ticks
@@ -255,15 +220,10 @@ class EventQueue {
     size_t SlabSize() const { return slots_.size(); }
 
   private:
-    /**
-     * One slab record. Lives in a deque so addresses are stable: a
-     * repeating callback is invoked in place while the callback itself may
-     * grow the slab by scheduling.
-     */
+    /** One slab record. Lives in a deque so growing the slab never moves
+     * a record. */
     struct Slot {
         EventCallback fn;
-        /** Zero for one-shots; the re-arm interval for repeating events. */
-        SimTime period;
         /** Tag carried by ids and heap entries; bumped whenever the slot's
          * current registration dies, so stale references never match. */
         uint32_t generation = 1;
@@ -271,10 +231,6 @@ class EventQueue {
         uint32_t next_free = 0;
         /** A live registration occupies this slot. */
         bool armed = false;
-        /** The repeating callback is executing right now. */
-        bool firing = false;
-        /** Cancelled mid-fire: release after the callback returns. */
-        bool free_deferred = false;
     };
 
     struct HeapEntry {
@@ -352,8 +308,7 @@ class EventQueue {
         heap_[i] = moving;
     }
 
-    /** Restores the min-heap invariant downward from @p i (after a
-     * replace-top or pop). */
+    /** Restores the min-heap invariant downward from @p i (after a pop). */
     void
     SiftDown(size_t i) const
     {
@@ -387,29 +342,6 @@ class EventQueue {
         }
     }
 
-    template <typename F>
-    EventId
-    Arm(SimTime when, SimTime period, F&& fn)
-    {
-        if constexpr (requires { static_cast<bool>(fn); }) {
-            AEO_ASSERT(static_cast<bool>(fn), "scheduling a null callback");
-        }
-        const uint32_t slot = Acquire();
-        Slot& s = slots_[slot];
-        s.fn = EventCallback(std::forward<F>(fn));
-        s.period = period;
-        s.armed = true;
-        s.firing = false;
-        s.free_deferred = false;
-        // aeo-lint: allow(hot-path-alloc) -- the heap reuses its capacity;
-        // it grows only past the armed-timer high-water mark.
-        heap_.push_back(HeapEntry{when, next_seq_++, slot, s.generation});
-        SiftUp(heap_.size() - 1);
-        ++pending_count_;
-        return (static_cast<uint64_t>(s.generation) << 32) |
-               static_cast<uint64_t>(slot + 1);
-    }
-
     uint32_t
     Acquire()
     {
@@ -424,27 +356,26 @@ class EventQueue {
         return static_cast<uint32_t>(slots_.size() - 1);
     }
 
-    /** Destroys the slot's callback and returns it to the free list. The
-     * generation was already bumped when the registration died. */
+    /** Ends the slot's registration — bumping its generation invalidates
+     * its ids and, lazily, its heap entry — destroys the callback and
+     * returns the slot to the free list. */
     void
     Release(uint32_t slot)
     {
         Slot& s = slots_[slot];
+        s.armed = false;
+        if (++s.generation == 0) {
+            s.generation = 1;  // 0 is reserved so decoded ids never match
+        }
+        --pending_count_;
         s.fn.Reset();
         s.next_free = free_head_;
         free_head_ = slot;
     }
 
-    static void
-    BumpGeneration(Slot& s)
-    {
-        if (++s.generation == 0) {
-            s.generation = 1;  // 0 is reserved so decoded ids never match
-        }
-    }
-
-    /** Pops heap entries whose registration died (cancelled or re-armed
-     * under a new generation); amortized O(1) per cancelled event. */
+    /** Pops heap entries whose registration died (cancelled, or the slot
+     * since reused under a new generation); amortized O(1) per cancelled
+     * event. */
     void
     DropStaleHead() const
     {

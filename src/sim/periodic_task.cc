@@ -25,21 +25,28 @@ PeriodicTask::Start(SimTime period)
     Stop();
     period_ = period;
     running_ = true;
-    // The queue re-arms the series before delivering each occurrence, so a
-    // callback that Stop()s or restarts its own task cancels the already-
-    // armed next occurrence — the behaviour the old generation counter
-    // provided, now enforced by the queue's generation-tagged ids.
-    series_ = sim_->ScheduleEvery(period_, [this] { fn_(); });
+    next_ = sim_->ScheduleAfter(period_, [this] { Fire(); });
 }
 
 void
 PeriodicTask::Stop()
 {
-    if (series_ != kInvalidEventId) {
-        sim_->Cancel(series_);
-        series_ = kInvalidEventId;
+    if (next_ != kInvalidEventId) {
+        sim_->Cancel(next_);
+        next_ = kInvalidEventId;
     }
     running_ = false;
+}
+
+// aeo: hot-path
+void
+PeriodicTask::Fire()
+{
+    // Reschedule before delivering: the next occurrence takes its seq
+    // before the callback can schedule anything, and is already armed
+    // for a Stop() or Start() from inside the callback to cancel.
+    next_ = sim_->ScheduleAfter(period_, [this] { Fire(); });
+    fn_();
 }
 
 }  // namespace aeo

@@ -3,13 +3,16 @@
  * A periodic callback bound to a Simulator — used for governor sampling
  * timers and thermal polling.
  *
- * Since the event core grew first-class repeating events (DESIGN.md §14)
- * this is a thin veneer over Simulator::ScheduleEvery: the series re-arms
- * its own slab record in place, so steady-state firing allocates nothing.
- * The old restart-while-firing guarantees are now provided by the queue's
- * generation-tagged ids — cancelling the series from inside the callback
- * (Stop(), or Start() to change the period) invalidates the already-armed
- * next occurrence exactly.
+ * This is the simulator's one periodic timer (DESIGN.md §14). The event
+ * queue holds one-shots only: each firing first re-arms the next
+ * occurrence as a fresh one-shot, then runs the callback. The re-arm takes
+ * the slot the firing one-shot just freed, so steady-state firing
+ * allocates nothing, and it consumes the next seq before the callback can
+ * schedule anything, so an event the callback schedules at the next
+ * occurrence's instant fires after that occurrence. Because the next
+ * occurrence is already armed, a callback that calls Stop() (or Start(),
+ * to change the period) on its own task cancels it exactly, through the
+ * queue's generation-tagged ids.
  */
 #ifndef AEO_SIM_PERIODIC_TASK_H_
 #define AEO_SIM_PERIODIC_TASK_H_
@@ -54,10 +57,14 @@ class PeriodicTask {
     SimTime period() const { return period_; }
 
   private:
+    /** One occurrence: arms the next, then runs the callback. */
+    void Fire();
+
     Simulator* sim_;
     std::function<void()> fn_;
     SimTime period_;
-    EventId series_ = kInvalidEventId;
+    /** The armed next occurrence. */
+    EventId next_ = kInvalidEventId;
     bool running_ = false;
 };
 

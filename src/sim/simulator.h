@@ -47,25 +47,10 @@ class Simulator {
     }
 
     /**
-     * Schedules @p fn to fire every @p period (> 0), first one period from
-     * now, until the returned id is cancelled. The series occupies one slab
-     * record that re-arms in place: steady-state firing performs zero heap
-     * allocations and zero hash operations (DESIGN.md §14).
-     */
-    template <typename F>
-    EventId
-    ScheduleEvery(SimTime period, F&& fn)
-    {
-        AEO_ASSERT(period > SimTime::Zero(), "period must be positive");
-        return queue_.ScheduleEvery(now_ + period, period,
-                                    std::forward<F>(fn));
-    }
-
-    /**
      * Starts the lazy sampler series: a tick every @p period (> 0), first
      * one period from now, delivered to @p fn in batches just before each
      * real dispatch and at the end of an unstopped run, in the order a
-     * ScheduleEvery series would have fired them (EventQueue::StartSampler
+     * PeriodicTask would have fired them (EventQueue::StartSampler
      * states the ordering contract and what @p fn may not do). Ticks are
      * not events: executed_events() does not count them.
      */
@@ -78,7 +63,7 @@ class Simulator {
     /** Stops the sampler series; owed ticks not yet delivered are dropped. */
     void StopSampler() { queue_.StopSampler(); }
 
-    /** Cancels a pending event or repeating series; see EventQueue::Cancel. */
+    /** Cancels a pending event; see EventQueue::Cancel. */
     bool Cancel(EventId id) { return queue_.Cancel(id); }
 
     /**

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "fault/fault_injector.h"
+#include "sim/periodic_task.h"
 
 namespace aeo {
 namespace {
@@ -93,8 +94,8 @@ TEST(MonsoonTest, StopHaltsSampling)
 
 /**
  * The per-sample meter the batch sampler replaced, kept as the reference:
- * one ScheduleEvery event per sample, each reading the power, consulting
- * the injector and drawing its noise at its own instant.
+ * one PeriodicTask event per sample, each consulting the injector, reading
+ * the power and drawing its noise at its own instant.
  */
 class EagerReferenceMeter {
   public:
@@ -104,11 +105,10 @@ class EagerReferenceMeter {
         : sim_(sim),
           power_source_(std::move(power_source)),
           rng_(rng_seed),
-          config_(config)
+          config_(config),
+          task_(sim, [this] { TakeSample(); })
     {
     }
-
-    ~EagerReferenceMeter() { Stop(); }
 
     void
     SetFaultInjector(FaultInjector* injector)
@@ -122,32 +122,10 @@ class EagerReferenceMeter {
         Stop();
         start_time_ = sim_->Now();
         last_sample_time_ = start_time_;
-        series_ = sim_->ScheduleEvery(
-            SimTime::FromSecondsF(1.0 / config_.sample_hz), [this] {
-                if (injector_ != nullptr &&
-                    !injector_->OnRead(fault_query_).ok()) {
-                    ++dropped_sample_count_;
-                    return;
-                }
-                const double measured_mw =
-                    power_source_().value() *
-                    (1.0 + rng_.Gaussian(0.0, config_.noise_rel_stddev));
-                power_sum_mw_ += measured_mw;
-                ++sample_count_;
-                window_sum_mw_ += measured_mw;
-                ++window_count_;
-                last_sample_time_ = sim_->Now();
-            });
+        task_.Start(SimTime::FromSecondsF(1.0 / config_.sample_hz));
     }
 
-    void
-    Stop()
-    {
-        if (series_ != kInvalidEventId) {
-            sim_->Cancel(series_);
-            series_ = kInvalidEventId;
-        }
-    }
+    void Stop() { task_.Stop(); }
 
     uint64_t sample_count() const { return sample_count_; }
     uint64_t dropped_sample_count() const { return dropped_sample_count_; }
@@ -177,11 +155,28 @@ class EagerReferenceMeter {
     SimTime ObservedDuration() const { return last_sample_time_ - start_time_; }
 
   private:
+    void
+    TakeSample()
+    {
+        if (injector_ != nullptr && !injector_->OnRead(fault_query_).ok()) {
+            ++dropped_sample_count_;
+            return;
+        }
+        const double measured_mw =
+            power_source_().value() *
+            (1.0 + rng_.Gaussian(0.0, config_.noise_rel_stddev));
+        power_sum_mw_ += measured_mw;
+        ++sample_count_;
+        window_sum_mw_ += measured_mw;
+        ++window_count_;
+        last_sample_time_ = sim_->Now();
+    }
+
     Simulator* sim_;
     std::function<Milliwatts()> power_source_;
     Rng rng_;
     MonsoonConfig config_;
-    EventId series_ = kInvalidEventId;
+    PeriodicTask task_;
     FaultInjector* injector_ = nullptr;
     FaultInjector::PathQuery fault_query_{kMonsoonFaultPath};
     SimTime start_time_;

@@ -6,22 +6,22 @@
  *
  * The reference model is a flat vector scanned linearly for the earliest
  * (when, seq) pair — quadratic and allocation-happy, but obviously correct.
- * Random interleavings of schedule / cancel / stale-cancel / ScheduleEvery /
- * RunNext must produce the identical firing log and identical Cancel()
- * return values on both implementations, across generations of slot reuse.
+ * Random interleavings of schedule / cancel / stale-cancel / RunNext must
+ * produce the identical firing log and identical Cancel() return values on
+ * both implementations, across generations of slot reuse.
  *
- * The lazy sampler series is checked the same way, one level up: a
- * Simulator whose sampler ticks arrive in batches must log every tick
- * instant and every event in the order a reference executive logs them
- * when the sampler is one more eager periodic entry in the naive queue —
- * under random schedules, cancels, ScheduleEvery series, RunUntil at
- * random deadlines, Stop() from inside callbacks, and events placed
- * exactly on tick instants.
+ * Periodic timers and the lazy sampler series are checked the same way,
+ * one level up: a Simulator whose PeriodicTasks re-arm as one-shots and
+ * whose sampler ticks arrive in batches must log every tick instant and
+ * every event in the order a reference executive logs them when each
+ * series, the sampler included, is one eager periodic entry in the naive
+ * queue — under random schedules, cancels, series started and stopped,
+ * RunUntil at random deadlines, Stop() from inside callbacks, and events
+ * placed exactly on tick instants.
  *
  * This binary runs under the unit suite and, via its robustness and
  * concurrency labels, under the ASan/UBSan and TSan CI jobs — the slab's
- * deferred-free and generation-reuse paths are exactly where lifetime bugs
- * would hide.
+ * generation-reuse paths are exactly where lifetime bugs would hide.
  */
 #include "sim/event_queue.h"
 
@@ -30,11 +30,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 
 // GCC pairs the inlined allocator calls with this TU's replacement
@@ -104,8 +106,8 @@ namespace {
 
 /**
  * The naive reference: entries in a vector, earliest (when, seq) found by
- * linear scan. Repeating entries consume a fresh seq at each re-arm, before
- * delivery — the same order the real queue guarantees.
+ * linear scan. Periodic entries consume a fresh seq at each re-arm, before
+ * delivery — the order PeriodicTask's reschedule-before-deliver gives.
  */
 class ReferenceQueue {
   public:
@@ -203,7 +205,7 @@ RunInterleaving(uint64_t seed, int ops)
 
     for (int op = 0; op < ops; ++op) {
         const int64_t roll = rng.UniformInt(0, 99);
-        if (roll < 35) {
+        if (roll < 45) {
             // One-shot at now + [0, 50] us; ties with pending events are
             // frequent by construction.
             const SimTime when =
@@ -214,21 +216,6 @@ RunInterleaving(uint64_t seed, int ops)
                     real_log.emplace_back(tag, when);
                 });
             ids.emplace_back(real, ref.Schedule(when, SimTime::Zero(), tag));
-        } else if (roll < 50) {
-            // Repeating series; short periods so several firings land
-            // inside the run window.
-            const SimTime first =
-                now + SimTime::Micros(rng.UniformInt(0, 30));
-            const SimTime period =
-                SimTime::Micros(rng.UniformInt(1, 20));
-            const int tag = next_tag++;
-            // The real callback cannot know its own `when`, so both logs
-            // record the queue-reported firing time instead.
-            const EventId real =
-                queue.ScheduleEvery(first, period, [tag, &real_log] {
-                    real_log.emplace_back(tag, SimTime::Zero());
-                });
-            ids.emplace_back(real, ref.Schedule(first, period, tag));
         } else if (roll < 75 && !ids.empty()) {
             // Cancel a random id — live, already-fired, already-cancelled
             // or since-reused slot; both sides must agree on the result.
@@ -241,35 +228,22 @@ RunInterleaving(uint64_t seed, int ops)
             const int64_t burst = rng.UniformInt(1, 8);
             for (int64_t i = 0; i < burst && !queue.Empty(); ++i) {
                 ASSERT_FALSE(ref.Empty()) << "seed " << seed << " op " << op;
-                const SimTime fired_at = queue.RunNext();
-                now = fired_at;
-                auto fired_ref = ref.RunNext();
-                ASSERT_FALSE(real_log.empty());
-                real_log.back().second = fired_at;
-                ASSERT_EQ(real_log.back().first, fired_ref.first)
+                now = queue.RunNext();
+                ref_log.push_back(ref.RunNext());
+                ASSERT_EQ(real_log.back(), ref_log.back())
                     << "seed " << seed << " op " << op;
-                ASSERT_EQ(fired_at, fired_ref.second)
-                    << "seed " << seed << " op " << op;
-                ref_log.push_back(fired_ref);
             }
             EXPECT_EQ(queue.Empty(), ref.Empty())
                 << "seed " << seed << " op " << op;
         }
     }
 
-    // Drain the remainder (repeating series would run forever; stop once
-    // every one-shot difference is settled — a bounded number of steps).
-    int remaining = 4096;
-    while (!queue.Empty() && remaining-- > 0) {
-        ASSERT_FALSE(ref.Empty());
-        const SimTime fired_at = queue.RunNext();
-        auto fired_ref = ref.RunNext();
-        ASSERT_FALSE(real_log.empty());
-        real_log.back().second = fired_at;
-        ASSERT_EQ(real_log.back().first, fired_ref.first);
-        ASSERT_EQ(fired_at, fired_ref.second);
-        ref_log.push_back(fired_ref);
+    while (!queue.Empty()) {
+        ASSERT_FALSE(ref.Empty()) << "seed " << seed;
+        queue.RunNext();
+        ref_log.push_back(ref.RunNext());
     }
+    EXPECT_TRUE(ref.Empty()) << "seed " << seed;
     EXPECT_EQ(real_log, ref_log) << "seed " << seed;
 }
 
@@ -325,7 +299,8 @@ class SamplerScript {
   protected:
     virtual SimTime Now() const = 0;
     virtual uint64_t ScheduleAt(SimTime when, int tag) = 0;
-    virtual uint64_t ScheduleEvery(SimTime period, int tag) = 0;
+    /** Starts a periodic series, first firing one @p period from now. */
+    virtual uint64_t StartSeries(SimTime period, int tag) = 0;
     virtual bool Cancel(uint64_t id) = 0;
     virtual void StartSampler(SimTime period) = 0;
     virtual void StopSampler() = 0;
@@ -360,7 +335,7 @@ class SamplerScript {
                                       next_tag_++));
         } else if (roll < 56 && series_ < 4) {
             ++series_;
-            ids_.push_back(ScheduleEvery(
+            ids_.push_back(StartSeries(
                 period_ * rng_.UniformInt(1, 5) +
                     SimTime::Micros(rng_.UniformInt(0, 2)),
                 next_tag_++));
@@ -430,7 +405,7 @@ class EagerExecutive final : public SamplerScript {
     }
 
     uint64_t
-    ScheduleEvery(SimTime period, int tag) override
+    StartSeries(SimTime period, int tag) override
     {
         return queue_.Schedule(now_ + period, period, tag);
     }
@@ -472,7 +447,8 @@ class EagerExecutive final : public SamplerScript {
     uint64_t sampler_ = 0;
 };
 
-/** The real Simulator with its lazy sampler series. */
+/** The real Simulator: series are PeriodicTasks, the sampler its lazy
+ * sampler series. */
 class LazyExecutive final : public SamplerScript {
   protected:
     SimTime Now() const override { return sim_.Now(); }
@@ -480,16 +456,35 @@ class LazyExecutive final : public SamplerScript {
     uint64_t
     ScheduleAt(SimTime when, int tag) override
     {
-        return sim_.ScheduleAt(when, [this, tag] { OnEvent(tag); });
+        handles_.push_back(
+            Handle{sim_.ScheduleAt(when, [this, tag] { OnEvent(tag); }),
+                   nullptr});
+        return handles_.size() - 1;
     }
 
     uint64_t
-    ScheduleEvery(SimTime period, int tag) override
+    StartSeries(SimTime period, int tag) override
     {
-        return sim_.ScheduleEvery(period, [this, tag] { OnEvent(tag); });
+        tasks_.push_back(std::make_unique<PeriodicTask>(
+            &sim_, [this, tag] { OnEvent(tag); }));
+        tasks_.back()->Start(period);
+        handles_.push_back(Handle{kInvalidEventId, tasks_.back().get()});
+        return handles_.size() - 1;
     }
 
-    bool Cancel(uint64_t id) override { return sim_.Cancel(id); }
+    /** A series cancels as the reference's periodic entry does: true
+     * while it still runs. */
+    bool
+    Cancel(uint64_t id) override
+    {
+        const Handle& handle = handles_[id];
+        if (handle.task == nullptr) {
+            return sim_.Cancel(handle.event);
+        }
+        const bool running = handle.task->running();
+        handle.task->Stop();
+        return running;
+    }
 
     void
     StartSampler(SimTime period) override
@@ -513,7 +508,16 @@ class LazyExecutive final : public SamplerScript {
         }
     }
 
+    /** What a script id names: a one-shot, or a series. */
+    struct Handle {
+        EventId event;
+        PeriodicTask* task;
+    };
+
     Simulator sim_;
+    /** Declared after sim_, so they stop before it goes. */
+    std::vector<std::unique_ptr<PeriodicTask>> tasks_;
+    std::vector<Handle> handles_;
 };
 
 TEST(EventQueuePropertyTest, LazySamplerMatchesEagerSeries)
@@ -636,91 +640,66 @@ TEST(EventQueuePropertyTest, GenerationTagsSurviveHeavySlotReuse)
 
 TEST(EventQueuePropertyTest, RepeatingReArmOrdersBeforeCallbackSchedules)
 {
-    // The series re-arms (consuming a seq) before its callback runs, so a
-    // one-shot the callback schedules at the exact next-occurrence time
-    // must fire *after* that occurrence — the PeriodicTask-era contract.
-    EventQueue queue;
+    // A PeriodicTask re-arms (consuming a seq) before its callback runs, so
+    // a one-shot the callback schedules at the exact next-occurrence time
+    // must fire *after* that occurrence.
+    Simulator sim;
     std::vector<int> order;
     bool armed = false;
-    const EventId series = queue.ScheduleEvery(
-        SimTime::Millis(1), SimTime::Millis(1), [&] {
-            order.push_back(0);
-            if (!armed) {
-                armed = true;
-                queue.Schedule(SimTime::Millis(2), [&] { order.push_back(1); });
-            }
-        });
-    queue.RunNext();  // t=1ms: series fires, schedules one-shot at t=2ms
-    queue.RunNext();  // t=2ms: series again (earlier seq)
-    queue.RunNext();  // t=2ms: the one-shot
-    EXPECT_EQ(order, (std::vector<int>{0, 0, 1}));
-    EXPECT_TRUE(queue.Cancel(series));
-    EXPECT_TRUE(queue.Empty());
-}
-
-TEST(EventQueuePropertyTest, CancelOwnSeriesMidFireDefersSlotFree)
-{
-    // A repeating callback cancelling itself exercises the deferred-free
-    // path: the slot must stay live for the rest of the call, then return
-    // to the free list and be safely reusable.
-    EventQueue queue;
-    int fires = 0;
-    EventId self = kInvalidEventId;
-    self = queue.ScheduleEvery(SimTime::Millis(1), SimTime::Millis(1), [&] {
-        ++fires;
-        EXPECT_TRUE(queue.Cancel(self));
-        EXPECT_FALSE(queue.Cancel(self));  // immediately stale
+    PeriodicTask task(&sim, [&] {
+        order.push_back(0);
+        if (!armed) {
+            armed = true;
+            sim.ScheduleAt(SimTime::Millis(2), [&] { order.push_back(1); });
+        }
     });
-    queue.RunNext();
-    EXPECT_EQ(fires, 1);
-    EXPECT_TRUE(queue.Empty());
-    EXPECT_EQ(queue.PendingCount(), 0u);
-    // The freed slot is reusable and fires normally.
-    queue.Schedule(SimTime::Millis(5), [&fires] { ++fires; });
-    queue.RunNext();
-    EXPECT_EQ(fires, 2);
+    task.Start(SimTime::Millis(1));
+    // t=1ms: the task fires and schedules the one-shot at t=2ms; at t=2ms
+    // the task fires again (earlier seq), then the one-shot.
+    sim.RunUntil(SimTime::Millis(2));
+    EXPECT_EQ(order, (std::vector<int>{0, 0, 1}));
+    task.Stop();
+    sim.RunUntil(SimTime::Millis(10));
+    EXPECT_EQ(sim.executed_events(), 3u);
 }
 
 TEST(EventQueuePropertyTest, SteadyStateDispatchDoesNotAllocate)
 {
-    // The tentpole contract: after warmup, periodic dispatch and one-shot
+    // The tentpole contract: after warmup, PeriodicTask firing and one-shot
     // churn touch the heap zero times per event.
-    EventQueue queue;
+    Simulator sim;
     uint64_t fired = 0;
+    std::vector<std::unique_ptr<PeriodicTask>> tasks;
     for (int i = 0; i < 8; ++i) {
-        queue.ScheduleEvery(SimTime::Micros(100 + i),
-                            SimTime::Micros(191 + 2 * i),
-                            [&fired] { ++fired; });
+        tasks.push_back(std::make_unique<PeriodicTask>(
+            &sim, [&fired] { ++fired; }));
+        tasks.back()->Start(SimTime::Micros(191 + 2 * i));
     }
     struct Chain {
-        EventQueue* queue;
-        SimTime at;
+        Simulator* sim;
         uint64_t* fired;
         void
         Fire()
         {
             *fired += 1;
-            at = at + SimTime::Micros(197);
-            queue->Schedule(at, [this] { Fire(); });
+            sim->ScheduleAfter(SimTime::Micros(197), [this] { Fire(); });
         }
     };
-    Chain chain{&queue, SimTime::Micros(50), &fired};
-    queue.Schedule(chain.at, [&chain] { chain.Fire(); });
+    Chain chain{&sim, &fired};
+    sim.ScheduleAfter(SimTime::Micros(50), [&chain] { chain.Fire(); });
 
     // Warmup: grow the slab, the heap vector and any lazy library state.
-    for (int i = 0; i < 10'000; ++i) {
-        queue.RunNext();
-    }
+    sim.RunFor(SimTime::Millis(200));
 
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
     const uint64_t fired_before = fired;
-    for (int i = 0; i < 100'000; ++i) {
-        queue.RunNext();
-    }
+    const uint64_t events_before = sim.executed_events();
+    sim.RunFor(SimTime::FromSeconds(2));
     const uint64_t allocs =
         g_alloc_count.load(std::memory_order_relaxed) - before;
     EXPECT_EQ(allocs, 0u) << "steady-state dispatch must not allocate";
-    EXPECT_EQ(fired - fired_before, 100'000u);
+    EXPECT_EQ(fired - fired_before, sim.executed_events() - events_before);
+    EXPECT_GT(fired - fired_before, 80'000u);
 }
 
 }  // namespace
